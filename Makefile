@@ -23,8 +23,10 @@ test:
 # procs inside the simulated worlds; keep both race-clean. The profile and
 # perfgate subpackages are covered by the ./internal/obs/... pattern.
 # internal/sim/mem holds the buddy frame allocator the 2 MB path leans on.
+# internal/sim/engine hands the baton between proc goroutines, and Close
+# unwinds parked daemons across it.
 race:
-	$(GO) test -race ./internal/obs/... ./internal/metrics/... ./internal/core/... ./internal/sim/mem/...
+	$(GO) test -race ./internal/obs/... ./internal/core/... ./internal/sim/mem/... ./internal/sim/engine/...
 
 fmt:
 	@out=$$(gofmt -l .); \

@@ -449,6 +449,14 @@ func (s *System) Run(threads int, fn func(t int, p *Proc)) uint64 {
 	return s.Sim.Now() - start
 }
 
+// Close ends the System's life once its results have been read. Run leaves
+// background daemons (the bg-evict procs of Params.AsyncEvict) parked on
+// their wakeup signals, and each parked goroutine keeps the whole System
+// reachable: device media, DRAM frames, TLBs. Close unwinds them (see
+// engine.Close), so a closed System is garbage once the caller drops it.
+// Stats, clocks and devices stay readable; the System must not run again.
+func (s *System) Close() { s.Sim.Close() }
+
 // Seconds returns the total simulated wall-clock time so far.
 func (s *System) Seconds() float64 { return cpu.CyclesToSeconds(s.Sim.Now()) }
 

@@ -21,7 +21,7 @@ func benchExperiment(b *testing.B, id string) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		rs := e.Run(benchScale)
+		rs := e.Run(&harness.Env{Scale: benchScale})
 		if len(rs) == 0 || len(rs[0].Rows) == 0 {
 			b.Fatalf("%s produced no rows", id)
 		}

@@ -56,21 +56,19 @@ func main() {
 	)
 	flag.Parse()
 
-	var tracer *obs.Tracer
-	var reg *obs.Registry
+	// One Env serves every experiment of the run, so trace labels stay
+	// unique across the shared trace file and metrics snapshot.
+	env := &harness.Env{Scale: *scale}
 	if *traceOut != "" {
-		tracer = obs.NewTracer()
+		env.Tracer = obs.NewTracer()
 	}
 	if *metricsJ != "" || *reportDir != "" {
-		reg = obs.NewRegistry()
-	}
-	if tracer != nil || reg != nil {
-		harness.Instrument(tracer, reg)
+		env.Registry = obs.NewRegistry()
 	}
 	var prof *profile.Profiler
 	if *profOut != "" || *profDir != "" || *profTop > 0 {
 		prof = profile.New()
-		harness.InstrumentProfiler(prof)
+		env.Profiler = prof
 	}
 
 	if *list {
@@ -111,7 +109,8 @@ func main() {
 		if *wallClock {
 			start = time.Now()
 		}
-		for _, r := range e.Run(*scale) {
+		before := env.SimCycles()
+		for _, r := range e.Run(env) {
 			if *format == "csv" {
 				fmt.Print(r.CSV())
 			} else {
@@ -144,7 +143,7 @@ func main() {
 		}
 		// The cost figure that matters is deterministic simulated time, not
 		// how fast the host ran the discrete-event loop.
-		cycles := harness.TakeSimCycles()
+		cycles := env.SimCycles() - before
 		fmt.Printf("# (%.1f simulated Mcycles", float64(cycles)/1e6)
 		if *wallClock {
 			fmt.Printf(", %s host wall-clock", time.Since(start).Round(time.Millisecond))
@@ -155,18 +154,16 @@ func main() {
 		}
 	}
 
-	if reg != nil {
-		harness.PublishAll()
-	}
+	publishSpansDropped(env.Tracer, env.Registry)
 	if *traceOut != "" {
-		if err := writeTo(*traceOut, tracer.WriteChromeTrace); err != nil {
+		if err := writeTo(*traceOut, env.Tracer.WriteChromeTrace); err != nil {
 			fmt.Fprintf(os.Stderr, "write trace: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Printf("# trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *traceOut)
 	}
 	if *metricsJ != "" {
-		if err := writeTo(*metricsJ, reg.WriteJSON); err != nil {
+		if err := writeTo(*metricsJ, env.Registry.WriteJSON); err != nil {
 			fmt.Fprintf(os.Stderr, "write metrics: %v\n", err)
 			os.Exit(1)
 		}
@@ -178,6 +175,15 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Printf("# folded stacks written to %s (feed to flamegraph.pl or speedscope)\n", *profOut)
+	}
+}
+
+// publishSpansDropped surfaces the tracer's ring-buffer losses as the
+// aq.obs.spans_dropped counter: a nonzero value warns that the Chrome trace is
+// a window, not the whole run (the profiler sink is lossless).
+func publishSpansDropped(tr *obs.Tracer, reg *obs.Registry) {
+	if tr != nil && reg != nil {
+		reg.Counter("aq.obs.spans_dropped").Set(tr.Dropped())
 	}
 }
 

@@ -17,7 +17,6 @@ import (
 	"aquila"
 	"aquila/internal/kvs/kreon"
 	"aquila/internal/kvs/lsm"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/ycsb"
 )
@@ -120,7 +119,7 @@ func main() {
 		}
 	})
 
-	lats := make([]*metrics.Histogram, *threads)
+	lats := make([]*obs.Histogram, *threads)
 	var done uint64
 	elapsed := sys.Run(*threads, func(t int, p *aquila.Proc) {
 		g := ycsb.NewGenerator(ycsb.Config{
@@ -131,7 +130,7 @@ func main() {
 		lats[t] = res.Lat
 		done += res.Ops
 	})
-	all := metrics.NewHistogram()
+	all := obs.NewHistogram()
 	for _, l := range lats {
 		if l != nil {
 			all.Merge(l)

@@ -8,11 +8,14 @@ import (
 	"aquila/internal/sim/engine"
 )
 
-// Golden fingerprints of the default (synchronous reclaim) configuration,
-// captured at the seed commit. See TestAquilaSyncModeDeterminism.
+// Golden fingerprints of the default (synchronous reclaim) configuration.
+// See TestAquilaSyncModeDeterminism. They were recaptured when the 4 KB fault
+// path stopped publishing two Pages for one file page under concurrent
+// faults: the earlier goldens had free+resident = 1020 of the 1024-frame
+// cache, four frames leaked to orphaned Pages.
 var syncModeGoldens = map[string]string{
-	"dax":  "now=15098022 major=8813 minor=1419 wp=1329 evict=8339 wb=3851 shoot=37 free=550 resident=470",
-	"spdk": "now=141287200 major=8784 minor=2290 wp=1514 evict=8562 wb=3926 shoot=41 free=802 resident=222",
+	"dax":  "now=14758165 major=9622 minor=743 wp=932 evict=8706 wb=3825 shoot=45 free=527 resident=497",
+	"spdk": "now=139773909 major=7933 minor=2714 wp=1849 evict=7552 wb=3854 shoot=37 free=682 resident=342",
 }
 
 // determinismWorkload drives an eviction-heavy mixed read/write pattern over
@@ -57,18 +60,24 @@ func determinismWorkload(boot func(p *engine.Proc) *Runtime, e *engine.Engine, c
 func TestAquilaSyncModeDeterminism(t *testing.T) {
 	{
 		e, _, boot := daxWorld(4*mib, 4)
-		got, _ := determinismWorkload(boot, e, 4)
+		got, rt := determinismWorkload(boot, e, 4)
 		t.Logf("dax: %s", got)
 		if got != syncModeGoldens["dax"] {
 			t.Errorf("dax fingerprint drifted:\n got  %s\n want %s", got, syncModeGoldens["dax"])
 		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Errorf("dax: %v", err)
+		}
 	}
 	{
 		e, boot := spdkWorld(4*mib, 4)
-		got, _ := determinismWorkload(boot, e, 4)
+		got, rt := determinismWorkload(boot, e, 4)
 		t.Logf("spdk: %s", got)
 		if got != syncModeGoldens["spdk"] {
 			t.Errorf("spdk fingerprint drifted:\n got  %s\n want %s", got, syncModeGoldens["spdk"])
+		}
+		if err := rt.CheckInvariants(); err != nil {
+			t.Errorf("spdk: %v", err)
 		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"aquila/internal/detutil"
 	"aquila/internal/host"
 	"aquila/internal/iface"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/sim/cpu"
 	"aquila/internal/sim/device"
@@ -192,7 +191,7 @@ type Runtime struct {
 
 	// Break attributes fault-path cycles to components (Figs 7, 8). It is
 	// interned in Reg as "aquila_fault_cycles".
-	Break *metrics.Breakdown
+	Break *obs.Breakdown
 	// Reg is the metrics registry (never nil; private unless configured).
 	Reg   *obs.Registry
 	Stats Stats
@@ -688,16 +687,12 @@ func (rt *Runtime) fault(p *engine.Proc, va uint64, write bool) (*mem.Frame, err
 			pg = existing
 			rt.Stats.MinorFaults++
 			p.SpanEvent("fault.minor", 1)
-			if rt.hugeEnabled() {
-				// Pin across the LRU-record charge: it yields, and a
-				// concurrent promotion claiming this extent must see the page
-				// busy rather than recycle its frame under us.
-				pg.pins++
-				rt.lru.record(p, pg)
-				pg.pins--
-			} else {
-				rt.lru.record(p, pg)
-			}
+			// Pin across the LRU-record charge: it yields, and an evictor or
+			// a concurrent promotion claiming this page must see it busy
+			// rather than recycle its frame under us.
+			pg.pins++
+			rt.lru.record(p, pg)
+			pg.pins--
 			break
 		}
 		if !promoteTried && rt.shouldPromote(r, f, idx) {
@@ -784,16 +779,16 @@ func (rt *Runtime) majorFault(p *engine.Proc, r *Region, f *fileState, idx uint6
 			io: engine.NewEvent(rt.e, fmt.Sprintf("aqio:%s:%d", f.name, i)),
 		}
 		rt.charge(p, "cache-insert", rt.P.HashInsert)
-		if rt.hugeEnabled() {
-			// The insert charge yields; a concurrent promotion may have
-			// claimed this extent meanwhile. Re-probe before publishing so a
-			// 4 KB entry never appears inside a live huge unit.
-			if raced := rt.lookupPage(f.id, i); raced != nil {
-				if i == idx {
-					target = raced
-				}
-				continue
+		// The insert charge yields; a concurrent fault on the same page, or
+		// a promotion claiming this extent, may have published it meanwhile.
+		// Re-probe before publishing so one file page never has two Pages
+		// (a store into the one the hash dropped would be lost) and a 4 KB
+		// entry never appears inside a live huge unit.
+		if raced := rt.lookupPage(f.id, i); raced != nil {
+			if i == idx {
+				target = raced
 			}
+			continue
 		}
 		rt.cacheInsert(pg)
 		fr, err := rt.allocFrame(p)

@@ -5,7 +5,7 @@ import (
 
 	"aquila"
 	"aquila/internal/host"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 	"aquila/internal/sim/device"
 	simengine "aquila/internal/sim/engine"
 )
@@ -44,24 +44,25 @@ func init() {
 
 // runAblateBatch sweeps Aquila's eviction batch size on the out-of-memory
 // microbenchmark: smaller batches mean more shootdown vmexits per fault.
-func runAblateBatch(scale float64) []*Result {
+func runAblateBatch(env *Env) []*Result {
 	r := &Result{
 		ID:     "ablate-batch",
 		Title:  "Out-of-memory fault throughput vs eviction batch (16 threads, pmem)",
 		Header: []string{"evict batch", "Kops/s", "shootdown batches", "avg(us)"},
 	}
-	cache := scaled(16*mib, scale, 4*mib)
+	cache := scaled(16*mib, env.Scale, 4*mib)
 	for _, batch := range []int{8, 32, 128, 512} {
 		params := aquilaParams(cache)
 		params.EvictBatch = batch
-		sys := boot(aquila.Options{
+		sys := env.boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 91, Params: params,
 		})
-		res := microOverSystem(sys, cache*12, 16, scaledN(3000, scale, 600), 91)
+		res := microOverSystem(sys, cache*12, 16, scaledN(3000, env.Scale, 600), 91)
+		env.done(sys)
 		r.AddRow(fmt.Sprint(batch), kops(res.ops, res.elapsed),
-			fmt.Sprint(sys.RT.Stats.ShootdownBatches), usF(res.lat.Mean()))
+			fmt.Sprint(res.stats.ShootdownBatches), usF(res.lat.Mean()))
 	}
 	r.AddNote("larger batches amortize the rate-limited IPI send and the per-batch bookkeeping")
 	return []*Result{r}
@@ -69,13 +70,13 @@ func runAblateBatch(scale float64) []*Result {
 
 // runAblateFreelist compares the two-level freelist against a single locked
 // shared queue under a multithreaded eviction-heavy load.
-func runAblateFreelist(scale float64) []*Result {
+func runAblateFreelist(env *Env) []*Result {
 	r := &Result{
 		ID:     "ablate-freelist",
 		Title:  "Out-of-memory fault throughput: freelist design (32 threads, pmem)",
 		Header: []string{"freelist", "Kops/s", "avg(us)", "p99.9(us)"},
 	}
-	cache := scaled(16*mib, scale, 4*mib)
+	cache := scaled(16*mib, env.Scale, 4*mib)
 	for _, single := range []bool{false, true} {
 		name := "two-level per-core/per-NUMA"
 		params := aquilaParams(cache)
@@ -83,12 +84,13 @@ func runAblateFreelist(scale float64) []*Result {
 			name = "single shared queue"
 			params.SingleQueueFreelist = true
 		}
-		sys := boot(aquila.Options{
+		sys := env.boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 			CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 			CPUs: 32, Seed: 93, Params: params,
 		})
-		res := microOverSystem(sys, cache*12, 32, scaledN(2000, scale, 500), 93)
+		res := microOverSystem(sys, cache*12, 32, scaledN(2000, env.Scale, 500), 93)
+		env.done(sys)
 		r.AddRow(name, kops(res.ops, res.elapsed), usF(res.lat.Mean()), us(res.lat.P999()))
 	}
 	r.AddNote("the single queue serializes every allocation and release (§3.2's motivation)")
@@ -103,10 +105,10 @@ func microOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -120,20 +122,20 @@ func microOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		}
 		ops += uint64(opsPerThread)
 	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
+	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), stats: rtStats(sys)}
 }
 
 // runAblateReadahead measures a sequential full-file scan with and without
 // madvise(SEQUENTIAL) under Aquila.
-func runAblateReadahead(scale float64) []*Result {
+func runAblateReadahead(env *Env) []*Result {
 	r := &Result{
 		ID:     "ablate-readahead",
 		Title:  "Sequential scan over Aquila mmio (pmem), 1 thread",
 		Header: []string{"madvise", "scan time(ms)", "major faults", "readahead pages"},
 	}
-	size := scaled(48*mib, scale, 8*mib)
+	size := scaled(48*mib, env.Scale, 8*mib)
 	for _, seq := range []bool{false, true} {
-		sys := boot(aquila.Options{
+		sys := env.boot(aquila.Options{
 			Mode: aquila.ModeAquila, Device: aquila.DeviceNVMe,
 			CacheBytes: size / 4, DeviceBytes: size + 96*mib,
 			CPUs: 8, Seed: 95, Params: aquilaParams(size / 4),
@@ -155,12 +157,14 @@ func runAblateReadahead(scale float64) []*Result {
 			}
 			elapsed = p.Now() - start
 		})
+		st := sys.RT.Stats
+		env.done(sys)
 		name := "none"
 		if seq {
 			name = "MADV_SEQUENTIAL"
 		}
 		r.AddRow(name, fmt.Sprintf("%.2f", float64(elapsed)/2.4e6),
-			fmt.Sprint(sys.RT.Stats.MajorFaults), fmt.Sprint(sys.RT.Stats.ReadaheadPages))
+			fmt.Sprint(st.MajorFaults), fmt.Sprint(st.ReadaheadPages))
 	}
 	r.AddNote("readahead merges device reads into multi-page I/Os and overlaps faults")
 	return []*Result{r}
@@ -168,13 +172,13 @@ func runAblateReadahead(scale float64) []*Result {
 
 // runIOUring compares synchronous O_DIRECT reads with io_uring batches of
 // increasing depth — the async-I/O tradeoff the paper discusses in §7.1.
-func runIOUring(scale float64) []*Result {
+func runIOUring(env *Env) []*Result {
 	r := &Result{
 		ID:     "iouring",
 		Title:  "Random 4 KB reads, NVMe: sync pread vs io_uring batches (1 thread)",
 		Header: []string{"path", "Kops/s", "avg(us)", "p99.9(us)", "syscalls/op"},
 	}
-	n := scaledN(4000, scale, 800)
+	n := scaledN(4000, env.Scale, 800)
 	pages := uint64(256 * mib / 4096)
 	// Each path gets a fresh world: simulated time restarts per phase, so
 	// sharing a device would queue later phases behind earlier backlogs.
@@ -193,7 +197,7 @@ func runIOUring(scale float64) []*Result {
 	// Synchronous O_DIRECT.
 	{
 		e, os, f := newWorld()
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		var elapsed uint64
 		e.Spawn(0, "sync", func(p *aquila.Proc) {
 			hf := os.OpenFile(f, true)
@@ -216,7 +220,7 @@ func runIOUring(scale float64) []*Result {
 	for _, depth := range []int{8, 32, 128} {
 		e, os, f := newWorld()
 		_ = os
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		var elapsed uint64
 		var syscalls uint64
 		e.Spawn(0, fmt.Sprintf("uring-%d", depth), func(p *aquila.Proc) {

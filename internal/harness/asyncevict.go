@@ -5,7 +5,7 @@ import (
 
 	"aquila"
 	"aquila/internal/core"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // Ablation for the background-eviction pipeline: the same out-of-memory
@@ -31,10 +31,10 @@ func mixedOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -52,18 +52,18 @@ func mixedOverSystem(sys *aquila.System, dataset uint64, threads, opsPerThread i
 		}
 		ops += uint64(opsPerThread)
 	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
+	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), stats: rtStats(sys)}
 }
 
-func runAblateAsyncEvict(scale float64) []*Result {
+func runAblateAsyncEvict(env *Env) []*Result {
 	r := &Result{
 		ID:    "ablate-async-evict",
 		Title: "Out-of-memory mixed 2:1 read/write microbench (16 threads): reclaim policy",
 		Header: []string{"device", "reclaim", "low/high wm", "Kops/s", "avg(us)",
 			"p99.9(us)", "direct pages", "bg pages", "stalls"},
 	}
-	cache := scaled(16*mib, scale, 4*mib)
-	ops := scaledN(2500, scale, 500)
+	cache := scaled(16*mib, env.Scale, 4*mib)
+	ops := scaledN(2500, env.Scale, 500)
 	batch := aquilaParams(cache).EvictBatch
 
 	type cfg struct {
@@ -96,17 +96,18 @@ func runAblateAsyncEvict(scale float64) []*Result {
 			if c.mut != nil {
 				c.mut(params)
 			}
-			sys := boot(aquila.Options{
+			sys := env.boot(aquila.Options{
 				Mode: aquila.ModeAquila, Device: dev,
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 				CPUs: 32, Seed: 99, Params: params,
 			})
 			res := mixedOverSystem(sys, cache*12, 16, ops, 99)
-			st := sys.RT.Stats
+			st := res.stats
 			wm := "—"
 			if params.AsyncEvict {
 				wm = fmt.Sprintf("%d/%d", sys.RT.LowWater(), sys.RT.HighWater())
 			}
+			env.done(sys)
 			r.AddRow(devName, c.name, wm, kops(res.ops, res.elapsed),
 				usF(res.lat.Mean()), us(res.lat.P999()),
 				fmt.Sprint(st.DirectReclaimPages), fmt.Sprint(st.BgReclaimPages),

@@ -90,7 +90,7 @@ type crashProbe struct {
 // walCrashRun appends nrec CRC'd records to an mmapped WAL, msyncing every
 // group records, under an optional crash plan. If the plan fires it captures
 // the durable image, recovers, and verifies every acked record.
-func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uint64,
+func walCrashRun(env *Env, mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uint64,
 	unsafe bool, plan *aquila.CrashPlan) crashProbe {
 	opts := aquila.Options{
 		Mode: mode, Device: dev,
@@ -102,7 +102,8 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 		params.UnsafeMsyncAtSubmit = unsafe
 		opts.Params = params
 	}
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	if plan != nil {
 		sys.InjectCrash(plan)
 	}
@@ -150,13 +151,14 @@ func walCrashRun(mode aquila.Mode, dev aquila.DeviceKind, cache, nrec, group uin
 	if pr.invErr == nil && rec.RT != nil {
 		pr.invErr = rec.RT.CheckInvariants()
 	}
+	rec.Close()
 	return pr
 }
 
 // kreonCrashRun loads records into a Kreon store with per-batch msync under an
 // optional crash plan, then recovers via Kreon's CRC-replaying Reopen and
 // verifies every acked key.
-func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
+func kreonCrashRun(env *Env, dev aquila.DeviceKind, cache, records, group uint64,
 	plan *aquila.CrashPlan) crashProbe {
 	const valSize = 120
 	logBytes := records*260 + 4*mib
@@ -171,7 +173,8 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 		L0Entries: int(records)/3 + 1,
 	}
 	size := uint64(4096) + logBytes + idxBytes
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	if plan != nil {
 		sys.InjectCrash(plan)
 	}
@@ -220,6 +223,7 @@ func kreonCrashRun(dev aquila.DeviceKind, cache, records, group uint64,
 	if pr.invErr == nil {
 		pr.invErr = rec.RT.CheckInvariants()
 	}
+	rec.Close()
 	return pr
 }
 
@@ -261,21 +265,21 @@ func strideOver(max uint64, n int) []uint64 {
 	return ks
 }
 
-func runAblateCrash(scale float64) []*Result {
+func runAblateCrash(env *Env) []*Result {
 	r := &Result{
 		ID:    "ablate-crash",
 		Title: "Crash-state enumeration: per-crash-point recovery oracle (acked records intact, invariants clean)",
 		Header: []string{"world", "device", "crash pts", "acked verified",
 			"acked lost", "inv fails", "verdict"},
 	}
-	cache := scaled(8*mib, scale, 2*mib)
-	nrec := uint64(scaledN(4096, scale, 768))
+	cache := scaled(8*mib, env.Scale, 2*mib)
+	nrec := uint64(scaledN(4096, env.Scale, 768))
 	group := nrec / 12
 	if group == 0 {
 		group = 1
 	}
-	devPoints := scaledN(12, scale, 5)
-	ackPoints := scaledN(6, scale, 3)
+	devPoints := scaledN(12, env.Scale, 5)
+	ackPoints := scaledN(6, env.Scale, 3)
 
 	verdict := func(t crashTally) string {
 		if t.points == 0 {
@@ -298,13 +302,13 @@ func runAblateCrash(scale float64) []*Result {
 			if dev == aquila.DeviceNVMe {
 				devName = "NVMe"
 			}
-			trace := walCrashRun(w.mode, dev, cache, nrec, group, false, nil)
+			trace := walCrashRun(env, w.mode, dev, cache, nrec, group, false, nil)
 			var t crashTally
 			// Device-op sweep: die mid-write at strided points over the whole
 			// trace, with a seeded torn-sector policy so partial-sector states
 			// are enumerated too.
 			for _, k := range strideOver(trace.writes, devPoints) {
-				t.add(walCrashRun(w.mode, dev, cache, nrec, group, false,
+				t.add(walCrashRun(env, w.mode, dev, cache, nrec, group, false,
 					&aquila.CrashPlan{Seed: int64(k), AtDeviceOp: k, TearProb: 0.3}))
 			}
 			// Ack-cycle sweep: die one cycle after msync returned — the
@@ -313,7 +317,7 @@ func runAblateCrash(scale float64) []*Result {
 			// trigger has no scheduling point left to fire at.
 			if n := len(trace.ackCycles); n > 1 {
 				for _, i := range strideOver(uint64(n-1), ackPoints) {
-					t.add(walCrashRun(w.mode, dev, cache, nrec, group, false,
+					t.add(walCrashRun(env, w.mode, dev, cache, nrec, group, false,
 						&aquila.CrashPlan{Seed: 9, AtCycle: trace.ackCycles[i-1] + 1}))
 				}
 			}
@@ -328,18 +332,18 @@ func runAblateCrash(scale float64) []*Result {
 	}
 
 	// Kreon end to end: crash mid-write, recover via CRC log replay.
-	kreonRecords := uint64(scaledN(300, scale, 90))
+	kreonRecords := uint64(scaledN(300, env.Scale, 90))
 	kreonGroup := kreonRecords / 6
-	kreonPoints := scaledN(8, scale, 4)
+	kreonPoints := scaledN(8, env.Scale, 4)
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
 		devName := "pmem"
 		if dev == aquila.DeviceNVMe {
 			devName = "NVMe"
 		}
-		trace := kreonCrashRun(dev, cache, kreonRecords, kreonGroup, nil)
+		trace := kreonCrashRun(env, dev, cache, kreonRecords, kreonGroup, nil)
 		var t crashTally
 		for _, k := range strideOver(trace.writes, kreonPoints) {
-			t.add(kreonCrashRun(dev, cache, kreonRecords, kreonGroup,
+			t.add(kreonCrashRun(env, dev, cache, kreonRecords, kreonGroup,
 				&aquila.CrashPlan{Seed: int64(k), AtDeviceOp: k, TearProb: 0.3}))
 		}
 		r.AddRow("kreon", devName, fmt.Sprint(t.points), fmt.Sprint(t.verified),
@@ -355,10 +359,10 @@ func runAblateCrash(scale float64) []*Result {
 	// acked into the NVMe completion window is lost at the crash. This row
 	// must FAIL — it proves the oracle has teeth.
 	{
-		trace := walCrashRun(aquila.ModeAquila, aquila.DeviceNVMe, cache, nrec, group, true, nil)
+		trace := walCrashRun(env, aquila.ModeAquila, aquila.DeviceNVMe, cache, nrec, group, true, nil)
 		if n := len(trace.ackCycles); n > 1 {
 			for _, i := range strideOver(uint64(n-1), ackPoints) {
-				unsafeTally.add(walCrashRun(aquila.ModeAquila, aquila.DeviceNVMe,
+				unsafeTally.add(walCrashRun(env, aquila.ModeAquila, aquila.DeviceNVMe,
 					cache, nrec, group, true,
 					&aquila.CrashPlan{Seed: 9, AtCycle: trace.ackCycles[i-1] + 1}))
 			}
@@ -382,7 +386,7 @@ func runAblateCrash(scale float64) []*Result {
 		Schema:     obs.ReportSchemaVersion,
 		Experiment: "ablate-crash",
 		Title:      r.Title,
-		Scale:      scale,
+		Scale:      env.Scale,
 		Config: map[string]string{
 			"cache":      fmt.Sprintf("%d", cache),
 			"records":    fmt.Sprintf("%d", nrec),

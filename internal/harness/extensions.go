@@ -42,15 +42,15 @@ func init() {
 }
 
 // runResize measures fault throughput phases around a cache grow and shrink.
-func runResize(scale float64) []*Result {
+func runResize(env *Env) []*Result {
 	r := &Result{
 		ID:     "resize",
 		Title:  "Out-of-memory fault throughput across cache resizes (1 thread, pmem)",
 		Header: []string{"phase", "cache(MB)", "Kops/s", "hv grants(B)", "ept faults"},
 	}
-	small := scaled(8*mib, scale, 4*mib)
+	small := scaled(8*mib, env.Scale, 4*mib)
 	big := small * 4
-	sys := boot(aquila.Options{
+	sys := env.boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: small, MaxCacheBytes: big * 2,
 		DeviceBytes: big*8 + 96*mib, CPUs: 8, Seed: 101,
@@ -63,7 +63,7 @@ func runResize(scale float64) []*Result {
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	ops := scaledN(20000, scale, 4000)
+	ops := scaledN(20000, env.Scale, 4000)
 	seed := uint64(11)
 	phase := func(name string) {
 		var elapsed uint64
@@ -89,19 +89,20 @@ func runResize(scale float64) []*Result {
 	phase("after grow")
 	sys.Do(func(p *aquila.Proc) { sys.RT.ResizeCache(p, small) })
 	phase("after shrink")
+	env.done(sys)
 	r.AddNote("growing the cache raises the hit rate (higher Kops/s); shrinking evicts down and returns 1 GB-granted memory to the host")
 	return []*Result{r}
 }
 
 // runPageRankWorlds compares PageRank execution time over Linux mmap vs
 // Aquila with the heap 8x larger than the DRAM cache.
-func runPageRankWorlds(scale float64) []*Result {
+func runPageRankWorlds(env *Env) []*Result {
 	r := &Result{
 		ID:     "pagerank",
 		Title:  "PageRank (10 iterations, 8 threads), heap = 8x DRAM cache (pmem)",
 		Header: []string{"config", "exec time(ms)", "vs mmap"},
 	}
-	vertices := uint32(scaledN(1<<15, scale, 1<<12))
+	vertices := uint32(scaledN(1<<15, env.Scale, 1<<12))
 	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 27})
 	edges := graph.Symmetrize(raw)
 	heapBytes := (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*24
@@ -123,7 +124,7 @@ func runPageRankWorlds(scale float64) []*Result {
 		if cfg.mode == aquila.ModeAquila {
 			opts.Params = aquilaParams(cache)
 		}
-		sys := boot(opts)
+		sys := env.boot(opts)
 		var g *graph.Graph
 		sys.Do(func(p *aquila.Proc) {
 			f := sys.NS.Create(p, "heap", heapBytes*2)
@@ -134,6 +135,7 @@ func runPageRankWorlds(scale float64) []*Result {
 			g = graph.Build(p, graph.NewMappedHeap(m), vertices, edges)
 		})
 		res := graph.RunPageRank(sys.Sim, g, 8, 10, 0)
+		env.done(sys)
 		ms := cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		times[cfg.name] = ms
 		r.AddRow(cfg.name, fmt.Sprintf("%.2f", ms), ratio(times["mmap"], ms))
@@ -146,13 +148,13 @@ func runPageRankWorlds(scale float64) []*Result {
 
 // runNVMHeap runs BFS with the heap mapped over DRAM-backed pmem vs an
 // Optane DC PMM-class device (the §7.1 technology point), under Aquila.
-func runNVMHeap(scale float64) []*Result {
+func runNVMHeap(env *Env) []*Result {
 	r := &Result{
 		ID:     "nvm-heap",
 		Title:  "Ligra BFS, heap over byte-addressable devices (Aquila DAX, 8 threads)",
 		Header: []string{"device", "exec time(ms)", "vs DRAM-backed pmem"},
 	}
-	vertices := uint32(scaledN(1<<15, scale, 1<<12))
+	vertices := uint32(scaledN(1<<15, env.Scale, 1<<12))
 	raw := graph.RMAT(graph.RMATConfig{Vertices: vertices, EdgeFactor: 10, Seed: 23})
 	edges := graph.Symmetrize(raw)
 	heapBytes := (uint64(vertices)+1)*8 + uint64(len(edges))*4 + uint64(vertices)*4

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // Fault-injection ablation: the out-of-memory mixed workload of
@@ -32,10 +32,10 @@ func mixedFaultRun(sys *aquila.System, dataset uint64, threads, opsPerThread int
 		m = sys.NS.Mmap(p, f, dataset)
 		m.Advise(p, aquila.AdviceRandom)
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -55,18 +55,18 @@ func mixedFaultRun(sys *aquila.System, dataset uint64, threads, opsPerThread int
 	})
 	var msyncErr error
 	sys.Do(func(p *aquila.Proc) { msyncErr = m.Msync(p) })
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}, msyncErr
+	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), stats: rtStats(sys)}, msyncErr
 }
 
-func runAblateFaults(scale float64) []*Result {
+func runAblateFaults(env *Env) []*Result {
 	r := &Result{
 		ID:    "ablate-faults",
 		Title: "Out-of-memory mixed 2:1 microbench (16 threads) with injected transient write faults",
 		Header: []string{"device", "P(wr fault)", "Kops/s", "avg(us)", "injected",
 			"retries", "requeued", "quarantined", "sync-fallback", "msync"},
 	}
-	cache := scaled(16*mib, scale, 4*mib)
-	ops := scaledN(2500, scale, 500)
+	cache := scaled(16*mib, env.Scale, 4*mib)
+	ops := scaledN(2500, env.Scale, 500)
 
 	for _, dev := range []aquila.DeviceKind{aquila.DevicePMem, aquila.DeviceNVMe} {
 		devName := "pmem"
@@ -76,7 +76,7 @@ func runAblateFaults(scale float64) []*Result {
 		for _, prob := range []float64{0, 0.001, 0.01, 0.05} {
 			params := aquilaParams(cache)
 			params.AsyncEvict = true
-			sys := boot(aquila.Options{
+			sys := env.boot(aquila.Options{
 				Mode: aquila.ModeAquila, Device: dev,
 				CacheBytes: cache, DeviceBytes: cache*12 + 96*mib,
 				CPUs: 32, Seed: 99, Params: params,
@@ -87,13 +87,15 @@ func runAblateFaults(scale float64) []*Result {
 				}})
 			}
 			res, msyncErr := mixedFaultRun(sys, cache*12, 16, ops, 99)
-			st := sys.RT.Stats
+			injected := sys.InjectedFaults()
+			env.done(sys)
+			st := res.stats
 			msyncCell := "ok"
 			if msyncErr != nil {
 				msyncCell = "EIO"
 			}
 			r.AddRow(devName, fmt.Sprintf("%g", prob), kops(res.ops, res.elapsed),
-				usF(res.lat.Mean()), fmt.Sprint(sys.InjectedFaults()),
+				usF(res.lat.Mean()), fmt.Sprint(injected),
 				fmt.Sprint(st.IORetries), fmt.Sprint(st.RequeuedPages),
 				fmt.Sprint(st.QuarantinedPages), fmt.Sprint(st.SyncWritebackFallbacks),
 				msyncCell)

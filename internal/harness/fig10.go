@@ -12,23 +12,23 @@ func init() {
 		ID:    "fig10a",
 		Title: "Scalability vs Linux mmap, dataset fits in memory",
 		Paper: "shared file: Aquila 1.81x @1T -> 8.37x @32T; private file per thread: 1.82x -> 1.99x",
-		Run: func(scale float64) []*Result {
-			return []*Result{runFig10(scale, true)}
+		Run: func(env *Env) []*Result {
+			return []*Result{runFig10(env, true)}
 		},
 	})
 	register(Experiment{
 		ID:    "fig10b",
 		Title: "Scalability vs Linux mmap, dataset does not fit in memory",
 		Paper: "shared file: Aquila 2.17x @1T -> 12.92x @32T; private file per thread: 2.21x -> 2.84x",
-		Run: func(scale float64) []*Result {
-			return []*Result{runFig10(scale, false)}
+		Run: func(env *Env) []*Result {
+			return []*Result{runFig10(env, false)}
 		},
 	})
 }
 
 // runFig10 regenerates one panel of Figure 10: random-read fault throughput
 // over thread counts, shared vs per-thread files, Linux mmap vs Aquila.
-func runFig10(scale float64, inMemory bool) *Result {
+func runFig10(env *Env, inMemory bool) *Result {
 	id, title := "fig10a", "in-memory dataset"
 	if !inMemory {
 		id, title = "fig10b", "out-of-memory dataset (12x cache)"
@@ -40,19 +40,19 @@ func runFig10(scale float64, inMemory bool) *Result {
 			"Lin avg(us)", "Aq avg(us)", "Lin p99.9(us)", "Aq p99.9(us)"},
 	}
 	threadCounts := []int{1, 2, 4, 8, 16, 32}
-	if scale < 0.5 {
+	if env.Scale < 0.5 {
 		threadCounts = []int{1, 4, 16}
 	}
 	var cache, dataset uint64
 	var ops int
 	if inMemory {
-		cache = scaled(96*mib, scale, 16*mib)
+		cache = scaled(96*mib, env.Scale, 16*mib)
 		dataset = cache
 		ops = 0 // touch every page once
 	} else {
-		cache = scaled(16*mib, scale, 4*mib)
+		cache = scaled(16*mib, env.Scale, 4*mib)
 		dataset = cache * 12
-		ops = scaledN(4000, scale, 800)
+		ops = scaledN(4000, env.Scale, 800)
 	}
 	maxT := threadCounts[len(threadCounts)-1]
 	linShared := make(map[int]microResult, len(threadCounts))
@@ -70,10 +70,10 @@ func runFig10(scale float64, inMemory bool) *Result {
 			}
 			linCfg := base
 			linCfg.mode = aquila.ModeLinuxMmap
-			lin := runMicro(linCfg)
+			lin := runMicro(env, linCfg)
 			aqCfg := base
 			aqCfg.mode = aquila.ModeAquila
-			aq := runMicro(aqCfg)
+			aq := runMicro(env, aqCfg)
 			if shared {
 				linShared[threads] = lin
 				if threads == maxT {
@@ -98,7 +98,7 @@ func runFig10(scale float64, inMemory bool) *Result {
 		// (the Linux worlds ignore the hint), so the speedup column stays
 		// huge-Aquila over Linux.
 		for _, threads := range threadCounts {
-			aq := runMicro(microConfig{
+			aq := runMicro(env, microConfig{
 				mode: aquila.ModeAquila, device: aquila.DevicePMem,
 				cache: cache, dataset: dataset, threads: threads,
 				inMemory: true, opsPerThread: ops,
@@ -121,15 +121,15 @@ func runFig10(scale float64, inMemory bool) *Result {
 		r.AddNote("paper: shared 1.81x@1T, 8.37x@32T; private 1.82x@1T, 1.99x@32T")
 		r.AddNote("shared+2M @%dT: %s over 4K Aquila (%d huge promotions, %d fault events vs %d)",
 			maxT, ratio(hugeTop.throughputKops(), aqTop.throughputKops()),
-			hugeTop.sys.RT.Stats.HugePromotions,
-			faultEvents(hugeTop.sys), faultEvents(aqTop.sys))
+			hugeTop.stats.HugePromotions,
+			faultEvents(hugeTop.stats), faultEvents(aqTop.stats))
 
 		lat := aqTop.lat.Summarize()
 		r.Report = &obs.Report{
 			Schema:     obs.ReportSchemaVersion,
 			Experiment: "fig10a",
 			Title:      r.Title,
-			Scale:      scale,
+			Scale:      env.Scale,
 			Config: map[string]string{
 				"mode":    "aquila",
 				"device":  "pmem",
@@ -149,10 +149,10 @@ func runFig10(scale float64, inMemory bool) *Result {
 					linShared[maxT].throughputKops()),
 				"huge_speedup_vs_4k": safeDiv(hugeTop.throughputKops(),
 					aqTop.throughputKops()),
-				"fault_events_4k":   float64(faultEvents(aqTop.sys)),
-				"fault_events_huge": float64(faultEvents(hugeTop.sys)),
-				"huge_fault_ratio":  hugeFaultRatio(hugeTop.sys),
-				"huge_promotions":   float64(hugeTop.sys.RT.Stats.HugePromotions),
+				"fault_events_4k":   float64(faultEvents(aqTop.stats)),
+				"fault_events_huge": float64(faultEvents(hugeTop.stats)),
+				"huge_fault_ratio":  hugeFaultRatio(hugeTop.stats),
+				"huge_promotions":   float64(hugeTop.stats.HugePromotions),
 			},
 		}
 	} else {

@@ -6,7 +6,6 @@ import (
 	"aquila"
 	"aquila/internal/core"
 	"aquila/internal/kvs/lsm"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/ycsb"
 )
@@ -16,16 +15,16 @@ func init() {
 		ID:    "fig5a",
 		Title: "RocksDB YCSB-C throughput, dataset fits in memory",
 		Paper: "mmap beats read/write in-memory; Aquila up to 1.15x over Linux mmap",
-		Run: func(scale float64) []*Result {
-			return runFig5(scale, true)
+		Run: func(env *Env) []*Result {
+			return runFig5(env, true)
 		},
 	})
 	register(Experiment{
 		ID:    "fig5b",
 		Title: "RocksDB YCSB-C throughput, dataset 4x the cache",
 		Paper: "Linux mmap collapses (128 KB read-around for 1 KB reads); Aquila vs direct I/O: pmem 1.18x@1T -> 1.65x@32T, NVMe ~parity (device-bound)",
-		Run: func(scale float64) []*Result {
-			return runFig5(scale, false)
+		Run: func(env *Env) []*Result {
+			return runFig5(env, false)
 		},
 	})
 }
@@ -48,7 +47,7 @@ var rocksModes = []rocksMode{
 type rocksOut struct {
 	ops     uint64
 	elapsed uint64
-	lat     *metrics.Histogram
+	lat     *obs.Histogram
 	// breakDelta is the runtime's fault-cycle breakdown accumulated during
 	// the measured phase only (nil in the Linux modes).
 	breakDelta map[string]uint64
@@ -60,7 +59,7 @@ type rocksOut struct {
 // rocksRunX loads a RocksDB-like store and drives YCSB-C over it. mut, when
 // non-nil, adjusts the Aquila runtime parameters (fig5b uses it to switch on
 // the background evictor).
-func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint64,
+func rocksRunX(env *Env, mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint64,
 	valueSize, threads, opsPerThread int, seed int64, mut func(*core.Params)) rocksOut {
 	dataset := records * sstBytesPerRecord(valueSize)
 	opts := aquila.Options{
@@ -77,7 +76,8 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 		}
 		opts.Params = ps
 	}
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	var db *lsm.DB
 	sys.Do(func(p *aquila.Proc) {
 		db = lsm.Open(p, sys.Sim, lsm.Options{
@@ -101,7 +101,7 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 	if sys.RT != nil {
 		break0 = sys.RT.Break.Map()
 	}
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
 		g := ycsb.NewGenerator(ycsb.Config{
@@ -118,14 +118,6 @@ func rocksRunX(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint
 		out.stats = sys.RT.Stats
 	}
 	return out
-}
-
-// rocksRun is rocksRunX with default parameters, for callers that only need
-// the throughput triple.
-func rocksRun(mode rocksMode, dev aquila.DeviceKind, cache uint64, records uint64,
-	valueSize, threads, opsPerThread int, seed int64) (uint64, uint64, *metrics.Histogram) {
-	o := rocksRunX(mode, dev, cache, records, valueSize, threads, opsPerThread, seed, nil)
-	return o.ops, o.elapsed, o.lat
 }
 
 // sstBytesPerRecord is the on-disk footprint of one record including block
@@ -146,7 +138,7 @@ func minU64(a, b uint64) uint64 {
 	return b
 }
 
-func runFig5(scale float64, inMemory bool) []*Result {
+func runFig5(env *Env, inMemory bool) []*Result {
 	id, title := "fig5a", "dataset fits in the cache"
 	if !inMemory {
 		id, title = "fig5b", "dataset 4x the cache"
@@ -157,7 +149,7 @@ func runFig5(scale float64, inMemory bool) []*Result {
 		Header: []string{"device", "threads", "mode", "Kops/s", "avg(us)", "p99.9(us)",
 			"vs read/write"},
 	}
-	cache := scaled(48*mib, scale, 8*mib)
+	cache := scaled(48*mib, env.Scale, 8*mib)
 	valueSize := 1000
 	perRecord := sstBytesPerRecord(valueSize)
 	var records uint64
@@ -168,9 +160,9 @@ func runFig5(scale float64, inMemory bool) []*Result {
 	} else {
 		records = 4 * cache / perRecord
 	}
-	ops := scaledN(2500, scale, 400)
+	ops := scaledN(2500, env.Scale, 400)
 	threadCounts := []int{1, 8, 32}
-	if scale < 0.5 {
+	if env.Scale < 0.5 {
 		threadCounts = []int{1, 8}
 	}
 	lastThreads := threadCounts[len(threadCounts)-1]
@@ -183,7 +175,7 @@ func runFig5(scale float64, inMemory bool) []*Result {
 		for _, threads := range threadCounts {
 			base := map[string]float64{}
 			for _, m := range rocksModes {
-				o := rocksRunX(m, dev, cache, records,
+				o := rocksRunX(env, m, dev, cache, records,
 					valueSize, threads, ops, 77, nil)
 				thr := aquila.ThroughputOpsPerSec(o.ops, o.elapsed) / 1e3
 				if m.name == "read/write" {
@@ -202,7 +194,7 @@ func runFig5(scale float64, inMemory bool) []*Result {
 		r.AddNote("paper: in-memory, mmap > read/write; Aquila up to 1.15x over mmap")
 		r.AddNote("paper latency (NVMe): Aquila 1.28-1.39x lower avg than direct I/O; tail 3.88x lower on average")
 	} else {
-		addFig5bAsync(r, scale, cache, records, valueSize, lastThreads, ops, syncAq)
+		addFig5bAsync(r, env, cache, records, valueSize, lastThreads, ops, syncAq)
 		r.AddNote("paper: mmap performs poorly out-of-memory; Aquila/direct-IO = 1.18x@1T, 1.65x@32T on pmem; 0.96-1.06x on NVMe (device-bound)")
 		r.AddNote("paper tail latency out-of-memory: Aquila 1.26x lower on average")
 	}
@@ -214,7 +206,7 @@ func runFig5(scale float64, inMemory bool) []*Result {
 // configuration rerun with AsyncEvict=true, so reclaim moves off the fault
 // path onto the per-NUMA bg-evict daemons and writeback overlaps with
 // foreground faults.
-func addFig5bAsync(r *Result, scale float64, cache, records uint64,
+func addFig5bAsync(r *Result, env *Env, cache, records uint64,
 	valueSize, threads, ops int, syncAq map[aquila.DeviceKind]rocksOut) {
 	aqMode := rocksModes[len(rocksModes)-1]
 	for _, dev := range []aquila.DeviceKind{aquila.DeviceNVMe, aquila.DevicePMem} {
@@ -223,7 +215,7 @@ func addFig5bAsync(r *Result, scale float64, cache, records uint64,
 			devName = "pmem"
 		}
 		sync := syncAq[dev]
-		async := rocksRunX(aqMode, dev, cache, records, valueSize, threads, ops, 77,
+		async := rocksRunX(env, aqMode, dev, cache, records, valueSize, threads, ops, 77,
 			func(ps *core.Params) { ps.AsyncEvict = true })
 		syncThr := aquila.ThroughputOpsPerSec(sync.ops, sync.elapsed) / 1e3
 		asyncThr := aquila.ThroughputOpsPerSec(async.ops, async.elapsed) / 1e3
@@ -254,7 +246,7 @@ func addFig5bAsync(r *Result, scale float64, cache, records uint64,
 			Schema:     obs.ReportSchemaVersion,
 			Experiment: "fig5b",
 			Title:      r.Title,
-			Scale:      scale,
+			Scale:      env.Scale,
 			Config: map[string]string{
 				"workload":       "YCSB-C uniform, 1 KB values",
 				"device":         "NVMe",

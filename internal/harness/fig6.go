@@ -14,16 +14,16 @@ func init() {
 		ID:    "fig6a",
 		Title: "Ligra BFS execution time, 8 GB-class DRAM cache",
 		Paper: "Aquila vs mmap (pmem): 1.56x @1T, 2.54x @8T, 4.14x @16T; mmap up to 11.8x slower than DRAM-only, Aquila 2.8x",
-		Run: func(scale float64) []*Result {
-			return []*Result{runFig6(scale, 8, "fig6a")}
+		Run: func(env *Env) []*Result {
+			return []*Result{runFig6(env, 8, "fig6a")}
 		},
 	})
 	register(Experiment{
 		ID:    "fig6b",
 		Title: "Ligra BFS execution time, 16 GB-class DRAM cache",
 		Paper: "Aquila still up to 2.3x faster than mmap at 16 threads",
-		Run: func(scale float64) []*Result {
-			return []*Result{runFig6(scale, 4, "fig6b")}
+		Run: func(env *Env) []*Result {
+			return []*Result{runFig6(env, 4, "fig6b")}
 		},
 	})
 	register(Experiment{
@@ -63,7 +63,7 @@ func fig6Sizes(scale float64) (vertices uint32, edges [][2]uint32, heapBytes uin
 }
 
 // runBFSConfig executes BFS in one world and returns the result.
-func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
+func runBFSConfig(env *Env, cfg fig6Config, vertices uint32, edges [][2]uint32,
 	heapBytes, cache uint64, threads int) graph.BFSResult {
 	if cfg.dram {
 		e := engine.New(engine.Config{NumCPUs: 32, Seed: 5})
@@ -84,7 +84,8 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	if cfg.mode == aquila.ModeAquila {
 		opts.Params = aquilaParams(cache)
 	}
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	var h graph.Heap
 	var g *graph.Graph
 	sys.Do(func(p *aquila.Proc) {
@@ -97,8 +98,8 @@ func runBFSConfig(cfg fig6Config, vertices uint32, edges [][2]uint32,
 	return graph.RunBFS(sys.Sim, g, 0, threads)
 }
 
-func runFig6(scale float64, overcommit uint64, id string) *Result {
-	vertices, edges, heapBytes := fig6Sizes(scale)
+func runFig6(env *Env, overcommit uint64, id string) *Result {
+	vertices, edges, heapBytes := fig6Sizes(env.Scale)
 	cache := heapBytes / overcommit
 	if cache < 1500*1024 {
 		cache = 1500 * 1024 // keep batch:cache ratios in the paper's regime
@@ -110,13 +111,13 @@ func runFig6(scale float64, overcommit uint64, id string) *Result {
 		Header: []string{"threads", "config", "exec time(ms)", "vs mmap-pmem", "vs DRAM-only"},
 	}
 	threadCounts := []int{1, 8, 16}
-	if scale < 0.5 {
+	if env.Scale < 0.5 {
 		threadCounts = []int{1, 8}
 	}
 	for _, threads := range threadCounts {
 		times := map[string]float64{}
 		for _, cfg := range fig6Configs {
-			res := runBFSConfig(cfg, vertices, edges, heapBytes, cache, threads)
+			res := runBFSConfig(env, cfg, vertices, edges, heapBytes, cache, threads)
 			times[cfg.name] = cpu.CyclesToSeconds(res.ElapsedCycles) * 1e3
 		}
 		for _, cfg := range fig6Configs {
@@ -129,14 +130,14 @@ func runFig6(scale float64, overcommit uint64, id string) *Result {
 	return r
 }
 
-func runFig6c(scale float64) []*Result {
-	vertices, edges, heapBytes := fig6Sizes(scale)
+func runFig6c(env *Env) []*Result {
+	vertices, edges, heapBytes := fig6Sizes(env.Scale)
 	cache := heapBytes / 8
 	if cache < 1500*1024 {
 		cache = 1500 * 1024
 	}
 	threads := 16
-	if scale < 0.5 {
+	if env.Scale < 0.5 {
 		threads = 8
 	}
 	r := &Result{
@@ -153,7 +154,7 @@ func runFig6c(scale float64) []*Result {
 		{"mmap-pmem", fig6Configs[0]},
 		{"aquila-pmem", fig6Configs[2]},
 	} {
-		res := runBFSConfig(row.cfg, vertices, edges, heapBytes, cache, threads)
+		res := runBFSConfig(env, row.cfg, vertices, edges, heapBytes, cache, threads)
 		total := float64(res.Acct[0] + res.Acct[1] + res.Acct[2] + res.Acct[3])
 		if total == 0 {
 			total = 1

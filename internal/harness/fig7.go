@@ -30,7 +30,7 @@ type fig7Measure struct {
 
 // fig7Run executes single-threaded YCSB-C random reads over an out-of-memory
 // dataset and returns the per-get breakdown.
-func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) (map[string]float64, float64, fig7Measure) {
+func fig7Run(env *Env, mode rocksMode, cache uint64, records uint64, ops int, seed int64) (map[string]float64, float64, fig7Measure) {
 	opts := aquila.Options{
 		Mode: mode.mode, Device: aquila.DevicePMem,
 		CacheBytes:  cache,
@@ -41,14 +41,15 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 	if mode.mode == aquila.ModeAquila {
 		opts.Params = aquilaParams(cache)
 	}
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	var db *lsm.DB
 	sys.Do(func(p *aquila.Proc) {
 		db = lsm.Open(p, sys.Sim, lsm.Options{
 			NS: sys.NS, Mode: mode.io, BlockCacheBytes: cache,
 			SSTTargetBytes: int(minU64(8*mib, cache/2)),
 			DisableWAL:     true, Seed: seed,
-			Registry: Registry(), MetricsLabel: sys.TraceLabel(),
+			Registry: env.Registry, MetricsLabel: sys.TraceLabel(),
 		})
 		db.BulkLoad(p, records, 1000)
 	})
@@ -101,18 +102,18 @@ func fig7Run(mode rocksMode, cache uint64, records uint64, ops int, seed int64) 
 	return out, thr, meas
 }
 
-func runFig7(scale float64) []*Result {
+func runFig7(env *Env) []*Result {
 	r := &Result{
 		ID:     "fig7",
 		Title:  "RocksDB read breakdown (cycles/op), 1 thread, pmem, dataset 4x cache",
 		Header: []string{"component", "user-space cache", "Aquila", "ratio"},
 	}
-	cache := scaled(32*mib, scale, 8*mib)
+	cache := scaled(32*mib, env.Scale, 8*mib)
 	records := 4 * cache / sstBytesPerRecord(1000)
-	ops := scaledN(6000, scale, 1000)
+	ops := scaledN(6000, env.Scale, 1000)
 
-	rw, rwThr, _ := fig7Run(rocksModes[0], cache, records, ops, 99)
-	aq, aqThr, aqMeas := fig7Run(rocksModes[2], cache, records, ops, 99)
+	rw, rwThr, _ := fig7Run(env, rocksModes[0], cache, records, ops, 99)
+	aq, aqThr, aqMeas := fig7Run(env, rocksModes[2], cache, records, ops, 99)
 
 	for _, c := range []string{"device-io", "cache-mgmt", "get", "total"} {
 		r.AddRow(c, f2(rw[c]), f2(aq[c]), ratio(rw[c], aq[c]))
@@ -132,7 +133,7 @@ func runFig7(scale float64) []*Result {
 		Schema:     obs.ReportSchemaVersion,
 		Experiment: "fig7",
 		Title:      r.Title,
-		Scale:      scale,
+		Scale:      env.Scale,
 		Config: map[string]string{
 			"mode":    "aquila",
 			"device":  "pmem",

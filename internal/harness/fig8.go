@@ -33,16 +33,16 @@ func init() {
 }
 
 // faultCost measures the average per-fault cycles of a microbench run.
-func faultCost(cfg microConfig) (float64, microResult) {
-	res := runMicro(cfg)
+func faultCost(env *Env, cfg microConfig) (float64, microResult) {
+	res := runMicro(env, cfg)
 	if res.ops == 0 {
 		return 0, res
 	}
 	return res.lat.Mean(), res
 }
 
-func runFig8a(scale float64) []*Result {
-	cache := scaled(64*mib, scale, 8*mib)
+func runFig8a(env *Env) []*Result {
+	cache := scaled(64*mib, env.Scale, 8*mib)
 	costs := cpu.Default()
 	r := &Result{
 		ID:     "fig8a",
@@ -55,13 +55,13 @@ func runFig8a(scale float64) []*Result {
 	}
 	linCfg := base
 	linCfg.mode = aquila.ModeLinuxMmap
-	linTotal, _ := faultCost(linCfg)
+	linTotal, _ := faultCost(env, linCfg)
 	aqCfg := base
 	aqCfg.mode = aquila.ModeAquila
-	aqTotal, aqRes := faultCost(aqCfg)
+	aqTotal, aqRes := faultCost(env, aqCfg)
 	hugeCfg := aqCfg
 	hugeCfg.huge = true
-	hugeTotal, hugeRes := faultCost(hugeCfg)
+	hugeTotal, hugeRes := faultCost(env, hugeCfg)
 
 	linIO := float64(costs.MemcpyNoSIMD(4096)) + float64(host.DefaultParams().PMemBlockOverhead)
 	aqIO := float64(costs.MemcpyAVX2(4096))
@@ -78,14 +78,14 @@ func runFig8a(scale float64) []*Result {
 	r.AddNote("measured trap/exception ratio: %s; Linux/Aquila total: %s",
 		ratio(linTrap, aqExc), ratio(linTotal, aqTotal))
 	r.AddNote("2 MB path: %s per access vs 4K Aquila (%d fault events vs %d; one promotion per extent)",
-		ratio(aqTotal, hugeTotal), faultEvents(hugeRes.sys), faultEvents(aqRes.sys))
+		ratio(aqTotal, hugeTotal), faultEvents(hugeRes.stats), faultEvents(aqRes.stats))
 
 	lat := aqRes.lat.Summarize()
 	r.Report = &obs.Report{
 		Schema:     obs.ReportSchemaVersion,
 		Experiment: "fig8a",
 		Title:      r.Title,
-		Scale:      scale,
+		Scale:      env.Scale,
 		Config: map[string]string{
 			"mode":    "aquila",
 			"device":  "pmem",
@@ -111,14 +111,14 @@ func runFig8a(scale float64) []*Result {
 			"trap_over_exception":    safeDiv(linTrap, aqExc),
 			"huge_total_per_access":  hugeTotal,
 			"aquila_over_huge":       safeDiv(aqTotal, hugeTotal),
-			"huge_fault_ratio":       hugeFaultRatio(hugeRes.sys),
+			"huge_fault_ratio":       hugeFaultRatio(hugeRes.stats),
 		},
 	}
 	return []*Result{r}
 }
 
-func runFig8b(scale float64) []*Result {
-	cache := scaled(16*mib, scale, 4*mib)
+func runFig8b(env *Env) []*Result {
+	cache := scaled(16*mib, env.Scale, 4*mib)
 	dataset := cache * 12 // 8 GB cache / 100 GB dataset class
 	r := &Result{
 		ID:     "fig8b",
@@ -127,27 +127,27 @@ func runFig8b(scale float64) []*Result {
 	}
 	base := microConfig{
 		device: aquila.DevicePMem, cache: cache, dataset: dataset,
-		threads: 1, inMemory: false, opsPerThread: scaledN(20000, scale, 4000),
+		threads: 1, inMemory: false, opsPerThread: scaledN(20000, env.Scale, 4000),
 		sharedFile: true, cpus: 4, seed: 43,
 	}
 	linCfg := base
 	linCfg.mode = aquila.ModeLinuxMmap
-	linTotal, _ := faultCost(linCfg)
+	linTotal, _ := faultCost(env, linCfg)
 	aqCfg := base
 	aqCfg.mode = aquila.ModeAquila
-	aqTotal, aqRes := faultCost(aqCfg)
+	aqTotal, aqRes := faultCost(env, aqCfg)
 
 	// Aquila's own per-component attribution, from the runtime breakdown.
-	rt := aqRes.sys.RT
-	faults := rt.Stats.MajorFaults + rt.Stats.MinorFaults + rt.Stats.WPFaults
+	brk := aqRes.brk
+	faults := faultEvents(aqRes.stats)
 	if faults == 0 {
 		faults = 1
 	}
-	total := float64(rt.Break.Total())
+	total := float64(brk.Total())
 	r.AddRow("total (measured per fault)", f2(linTotal), f2(aqTotal), "")
-	for _, cat := range rt.Break.Categories() {
-		v := rt.Break.PerOp(cat, faults)
-		pct := 100 * float64(rt.Break.Get(cat)) / total
+	for _, cat := range brk.Categories() {
+		v := brk.PerOp(cat, faults)
+		pct := 100 * float64(brk.Get(cat)) / total
 		r.AddRow("  aquila:"+cat, "", f2(v), fmt.Sprintf("%.1f%%", pct))
 	}
 	r.AddNote("paper: Aquila 2.06x lower than mmap; measured %s", ratio(linTotal, aqTotal))
@@ -155,15 +155,15 @@ func runFig8b(scale float64) []*Result {
 	return []*Result{r}
 }
 
-func runFig8c(scale float64) []*Result {
-	cache := scaled(32*mib, scale, 8*mib)
+func runFig8c(env *Env) []*Result {
+	cache := scaled(32*mib, env.Scale, 8*mib)
 	r := &Result{
 		ID:     "fig8c",
 		Title:  "Aquila per-fault cycles by device access method",
 		Header: []string{"access method", "cycles/fault", "vs cache-hit"},
 	}
 	// Cache-hit: warm all pages, drop the mapping (PTEs), re-fault.
-	hit := measureCacheHitFault(cache)
+	hit := measureCacheHitFault(env, cache)
 	r.AddRow("Cache-Hit", f2(hit), "1.00x")
 
 	type engCase struct {
@@ -179,7 +179,7 @@ func runFig8c(scale float64) []*Result {
 	}
 	vals := map[string]float64{}
 	for _, c := range cases {
-		cost, _ := faultCost(microConfig{
+		cost, _ := faultCost(env, microConfig{
 			mode: aquila.ModeAquila, device: c.device, engine: c.engine,
 			cache: cache, dataset: cache, threads: 1, inMemory: true,
 			sharedFile: true, cpus: 4, seed: 44,
@@ -197,8 +197,8 @@ func runFig8c(scale float64) []*Result {
 
 // measureCacheHitFault warms the Aquila cache, drops the mapping, then
 // re-faults every page: each fault finds its page cached (no I/O).
-func measureCacheHitFault(cache uint64) float64 {
-	sys := boot(aquila.Options{
+func measureCacheHitFault(env *Env, cache uint64) float64 {
+	sys := env.boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: cache * 2, DeviceBytes: cache + 64*mib, CPUs: 4, Seed: 45,
 		Params: aquilaParams(cache * 2),
@@ -222,5 +222,6 @@ func measureCacheHitFault(cache uint64) float64 {
 		}
 		mean = float64(p.Now()-start) / float64(pages)
 	})
+	env.done(sys)
 	return mean
 }

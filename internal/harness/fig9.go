@@ -18,7 +18,7 @@ func init() {
 }
 
 // kreonRun loads a Kreon store over one mmio path and runs a YCSB workload.
-func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
+func kreonRun(env *Env, useAquila bool, dev aquila.DeviceKind, cache uint64,
 	records uint64, w ycsb.Workload, ops int, seed int64) ycsb.Result {
 	logBytes := records*1100 + 8*mib
 	idxBytes := records*80*4 + 8*mib
@@ -35,7 +35,8 @@ func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
 	if useAquila {
 		opts.Params = aquilaParams(cache)
 	}
-	sys := boot(opts)
+	sys := env.boot(opts)
+	defer env.done(sys)
 	kopts := kreon.Options{
 		LogBytes: logBytes, IndexBytes: idxBytes,
 		L0Entries: int(records)/3 + 1,
@@ -69,18 +70,18 @@ func kreonRun(useAquila bool, dev aquila.DeviceKind, cache uint64,
 	return res
 }
 
-func runFig9(scale float64) []*Result {
+func runFig9(env *Env) []*Result {
 	r := &Result{
 		ID:    "fig9",
 		Title: "Kreon: kmmap vs Aquila, 1 thread, dataset 2x cache",
 		Header: []string{"device", "workload", "kmmap Kops/s", "Aquila Kops/s", "thr ratio",
 			"avg ratio", "p99.9 ratio"},
 	}
-	cache := scaled(12*mib, scale, 4*mib)
+	cache := scaled(12*mib, env.Scale, 4*mib)
 	records := 2 * cache / 1100
-	ops := scaledN(2000, scale, 400)
+	ops := scaledN(2000, env.Scale, 400)
 	workloads := ycsb.All
-	if scale < 0.3 {
+	if env.Scale < 0.3 {
 		workloads = []ycsb.Workload{ycsb.WorkloadA, ycsb.WorkloadC}
 	}
 	type agg struct{ thr, avg, tail float64 }
@@ -92,8 +93,8 @@ func runFig9(scale float64) []*Result {
 		var sumThr, sumAvg, sumTail float64
 		n := 0
 		for _, w := range workloads {
-			km := kreonRun(false, dev, cache, records, w, ops, 61)
-			aq := kreonRun(true, dev, cache, records, w, ops, 61)
+			km := kreonRun(env, false, dev, cache, records, w, ops, 61)
+			aq := kreonRun(env, true, dev, cache, records, w, ops, 61)
 			kThr := aquila.ThroughputOpsPerSec(km.Ops, km.Cycles) / 1e3
 			aThr := aquila.ThroughputOpsPerSec(aq.Ops, aq.Cycles) / 1e3
 			r.AddRow(devName, string(w),

@@ -15,7 +15,6 @@ import (
 	"strings"
 
 	"aquila"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 )
 
@@ -117,9 +116,10 @@ type Experiment struct {
 	Title string
 	// Paper states the paper's own headline numbers for the artefact.
 	Paper string
-	// Run executes at the given scale (1.0 = full scaled-down run; tests
-	// use smaller). Returns one or more result tables.
-	Run func(scale float64) []*Result
+	// Run executes in env (its Scale: 1.0 = full scaled-down run; tests
+	// use smaller) and hands back every System it boots. Returns one or
+	// more result tables.
+	Run func(env *Env) []*Result
 }
 
 var registry []Experiment
@@ -176,8 +176,8 @@ func us(c uint64) string { return fmt.Sprintf("%.2f", aquila.CyclesToMicros(c)) 
 func usF(c float64) string { return fmt.Sprintf("%.2f", c/2400.0) }
 
 // mergeHists merges per-thread histograms.
-func mergeHists(hs []*metrics.Histogram) *metrics.Histogram {
-	out := metrics.NewHistogram()
+func mergeHists(hs []*obs.Histogram) *obs.Histogram {
+	out := obs.NewHistogram()
 	for _, h := range hs {
 		if h != nil {
 			out.Merge(h)

@@ -1,13 +1,76 @@
 package harness
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
+
+	"aquila"
 )
 
 // testScale keeps the per-experiment runtime around a second.
 const testScale = 0.15
+
+// settledGoroutines polls runtime.NumGoroutine until it drops to at most
+// want: a simulated proc that has handed its baton back still needs a moment
+// to return from its body.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+// testEnv returns an Env at testScale and arms the lifecycle oracle for the
+// end of the test: every System the test booted was handed back, and no
+// simulated-proc goroutine (a parked bg-evict daemon, say) outlived it.
+func testEnv(t *testing.T) *Env {
+	t.Helper()
+	base := runtime.NumGoroutine()
+	env := &Env{Scale: testScale}
+	t.Cleanup(func() {
+		if env.live != 0 {
+			t.Errorf("%d System(s) booted but never handed back", env.live)
+		}
+		if n := settledGoroutines(base); n > base {
+			t.Errorf("%d goroutine(s) outlived the experiment (baseline %d)", n-base, base)
+		}
+	})
+	return env
+}
+
+// TestEnvHandsBackSystems pins the Env bookkeeping on one AsyncEvict System:
+// done adds its final clock to SimCycles and reaps the bg-evict daemons Run
+// leaves parked.
+func TestEnvHandsBackSystems(t *testing.T) {
+	env := testEnv(t)
+	base := runtime.NumGoroutine()
+	params := aquilaParams(2 * mib)
+	params.AsyncEvict = true
+	sys := env.boot(aquila.Options{
+		Device: aquila.DevicePMem, CPUs: 4, CacheBytes: 2 * mib, DeviceBytes: 64 * mib,
+		Params: params,
+	})
+	res := mixedOverSystem(sys, 8*mib, 2, 500, 7)
+	if res.stats.BgReclaimPages == 0 {
+		t.Fatal("the bg-evict daemons never ran; the test exercises nothing")
+	}
+	if runtime.NumGoroutine() <= base {
+		t.Fatal("no daemon goroutine parked after Run; the test exercises nothing")
+	}
+	now := sys.Sim.Now()
+	env.done(sys)
+	if env.SimCycles() != now {
+		t.Errorf("SimCycles = %d, want the handed-back clock %d", env.SimCycles(), now)
+	}
+	if n := settledGoroutines(base); n > base {
+		t.Errorf("%d daemon goroutine(s) survived done", n-base)
+	}
+}
 
 func TestRegistryComplete(t *testing.T) {
 	// Lexicographic id order (fig10* sorts before fig5*).
@@ -70,7 +133,7 @@ func findRow(t *testing.T, r *Result, prefix ...string) int {
 
 func TestTable1(t *testing.T) {
 	e, _ := Find("table1")
-	rs := e.Run(testScale)
+	rs := e.Run(testEnv(t))
 	if len(rs) != 1 || len(rs[0].Rows) != 6 {
 		t.Fatalf("table1 rows = %d, want 6", len(rs[0].Rows))
 	}
@@ -80,7 +143,7 @@ func TestTable1(t *testing.T) {
 }
 
 func TestFig5aShape(t *testing.T) {
-	r := runFig5(testScale, true)[0]
+	r := runFig5(testEnv(t), true)[0]
 	// In-memory: mmap and Aquila must beat read/write on pmem.
 	i := findRow(t, r, "pmem", "1", "mmap")
 	if v := cell(t, r, i, 6); v < 1.0 {
@@ -93,7 +156,7 @@ func TestFig5aShape(t *testing.T) {
 }
 
 func TestFig5bShape(t *testing.T) {
-	r := runFig5(testScale, false)[0]
+	r := runFig5(testEnv(t), false)[0]
 	// Out-of-memory: mmap collapses; Aquila beats direct I/O on pmem.
 	i := findRow(t, r, "pmem", "1", "mmap")
 	if v := cell(t, r, i, 6); v > 0.8 {
@@ -106,7 +169,7 @@ func TestFig5bShape(t *testing.T) {
 }
 
 func TestFig6aShape(t *testing.T) {
-	r := runFig6(testScale, 8, "fig6a")
+	r := runFig6(testEnv(t), 8, "fig6a")
 	// Aquila-pmem faster than mmap-pmem at every thread count.
 	for _, threads := range []string{"1", "8"} {
 		i := findRow(t, r, threads, "aquila-pmem")
@@ -122,7 +185,7 @@ func TestFig6aShape(t *testing.T) {
 }
 
 func TestFig6cShape(t *testing.T) {
-	r := runFig6c(testScale)[0]
+	r := runFig6c(testEnv(t))[0]
 	mmUser := cell(t, r, 0, 1)
 	aqUser := cell(t, r, 1, 1)
 	if aqUser <= mmUser {
@@ -131,7 +194,7 @@ func TestFig6cShape(t *testing.T) {
 }
 
 func TestFig7Shape(t *testing.T) {
-	r := runFig7(testScale)[0]
+	r := runFig7(testEnv(t))[0]
 	i := findRow(t, r, "cache-mgmt")
 	if v := cell(t, r, i, 3); v < 2.0 {
 		t.Errorf("fig7: cache-mgmt ratio = %.2f, want >= 2 (paper 2.58x)", v)
@@ -144,7 +207,7 @@ func TestFig7Shape(t *testing.T) {
 }
 
 func TestFig8aShape(t *testing.T) {
-	r := runFig8a(testScale)[0]
+	r := runFig8a(testEnv(t))[0]
 	i := findRow(t, r, "protection switch (trap/exception)")
 	trap, exc := cell(t, r, i, 1), cell(t, r, i, 2)
 	if trap != 1287 || exc != 552 {
@@ -161,7 +224,7 @@ func TestFig8aShape(t *testing.T) {
 }
 
 func TestFig8bShape(t *testing.T) {
-	r := runFig8b(testScale)[0]
+	r := runFig8b(testEnv(t))[0]
 	i := findRow(t, r, "total (measured per fault)")
 	lin, aq := cell(t, r, i, 1), cell(t, r, i, 2)
 	if lin/aq < 1.5 {
@@ -170,7 +233,7 @@ func TestFig8bShape(t *testing.T) {
 }
 
 func TestFig8cShape(t *testing.T) {
-	r := runFig8c(testScale)[0]
+	r := runFig8c(testEnv(t))[0]
 	i := findRow(t, r, "Cache-Hit")
 	if v := cell(t, r, i, 1); v < 2000 || v > 2400 {
 		t.Errorf("fig8c: cache-hit = %.0f, want ~2179", v)
@@ -188,7 +251,7 @@ func TestFig8cShape(t *testing.T) {
 }
 
 func TestFig9Shape(t *testing.T) {
-	r := runFig9(testScale)[0]
+	r := runFig9(testEnv(t))[0]
 	// Aquila throughput >= kmmap on every row.
 	for i := range r.Rows {
 		if v := cell(t, r, i, 4); v < 0.95 {
@@ -199,7 +262,7 @@ func TestFig9Shape(t *testing.T) {
 
 func TestFig10Shape(t *testing.T) {
 	for _, inMem := range []bool{true, false} {
-		r := runFig10(testScale, inMem)
+		r := runFig10(testEnv(t), inMem)
 		// Speedup >= 1.2 at 1 thread and grows with threads (shared file).
 		s1 := cell(t, r, findRow(t, r, "1", "shared"), 4)
 		s16 := cell(t, r, findRow(t, r, "16", "shared"), 4)
@@ -216,7 +279,7 @@ func TestFig10Shape(t *testing.T) {
 func TestMicroExperimentsRun(t *testing.T) {
 	for _, id := range []string{"memcpy", "ipi"} {
 		e, _ := Find(id)
-		rs := e.Run(testScale)
+		rs := e.Run(testEnv(t))
 		if len(rs) == 0 || len(rs[0].Rows) == 0 {
 			t.Errorf("%s produced no rows", id)
 		}
@@ -236,7 +299,7 @@ func TestResultRendering(t *testing.T) {
 }
 
 func TestAblateFreelistShape(t *testing.T) {
-	r := runAblateFreelist(testScale)[0]
+	r := runAblateFreelist(testEnv(t))[0]
 	two := cell(t, r, 0, 1)
 	single := cell(t, r, 1, 1)
 	if two <= single {
@@ -245,7 +308,7 @@ func TestAblateFreelistShape(t *testing.T) {
 }
 
 func TestAblateReadaheadShape(t *testing.T) {
-	r := runAblateReadahead(testScale)[0]
+	r := runAblateReadahead(testEnv(t))[0]
 	none := cell(t, r, 0, 1)
 	seq := cell(t, r, 1, 1)
 	if seq >= none {
@@ -257,7 +320,7 @@ func TestAblateReadaheadShape(t *testing.T) {
 }
 
 func TestAblateBatchShape(t *testing.T) {
-	r := runAblateBatch(testScale)[0]
+	r := runAblateBatch(testEnv(t))[0]
 	small := cell(t, r, 0, 1) // batch 8
 	big := cell(t, r, 2, 1)   // batch 128
 	if big <= small {
@@ -266,7 +329,7 @@ func TestAblateBatchShape(t *testing.T) {
 }
 
 func TestAblateAsyncEvictShape(t *testing.T) {
-	r := runAblateAsyncEvict(testScale)[0]
+	r := runAblateAsyncEvict(testEnv(t))[0]
 	// Sync mode reclaims everything inline; the daemons must be absent.
 	i := findRow(t, r, "pmem", "sync (direct)")
 	if cell(t, r, i, 6) == 0 {
@@ -291,7 +354,7 @@ func TestAblateAsyncEvictShape(t *testing.T) {
 }
 
 func TestAblateFaultsShape(t *testing.T) {
-	r := runAblateFaults(testScale)[0]
+	r := runAblateFaults(testEnv(t))[0]
 	// Zero-probability rows must inject nothing and retry nothing (the
 	// fault-check path is inert without a plan).
 	i := findRow(t, r, "pmem", "0")
@@ -317,7 +380,7 @@ func TestAblateFaultsShape(t *testing.T) {
 }
 
 func TestAblateCrashShape(t *testing.T) {
-	r := runAblateCrash(testScale)[0]
+	r := runAblateCrash(testEnv(t))[0]
 	// Every correct world passes the oracle at every enumerated crash point.
 	for _, w := range [][2]string{
 		{"aquila", "pmem"}, {"aquila", "NVMe"},
@@ -344,7 +407,7 @@ func TestAblateCrashShape(t *testing.T) {
 }
 
 func TestIOUringShape(t *testing.T) {
-	r := runIOUring(testScale)[0]
+	r := runIOUring(testEnv(t))[0]
 	syncThr := cell(t, r, 0, 1)
 	deepThr := cell(t, r, 3, 1)
 	if deepThr <= syncThr {
@@ -358,7 +421,7 @@ func TestIOUringShape(t *testing.T) {
 }
 
 func TestResizeShape(t *testing.T) {
-	r := runResize(testScale)[0]
+	r := runResize(testEnv(t))[0]
 	small := cell(t, r, 0, 2)
 	grown := cell(t, r, 1, 2)
 	shrunk := cell(t, r, 2, 2)
@@ -374,7 +437,7 @@ func TestPageRankWorldsShape(t *testing.T) {
 	// PageRank's scans are sequential-heavy: readahead amortizes the
 	// per-fault gap on both sides, so Aquila's win is small but real
 	// (contrast with BFS's random access in fig6).
-	r := runPageRankWorlds(testScale)[0]
+	r := runPageRankWorlds(testEnv(t))[0]
 	speedup := cell(t, r, 1, 2)
 	if speedup < 1.0 {
 		t.Errorf("aquila/mmap PageRank = %.2fx, want >= 1.0", speedup)
@@ -382,7 +445,7 @@ func TestPageRankWorldsShape(t *testing.T) {
 }
 
 func TestNVMHeapShape(t *testing.T) {
-	r := runNVMHeap(testScale)[0]
+	r := runNVMHeap(testEnv(t))[0]
 	slowdown := cell(t, r, 1, 2)
 	if slowdown <= 1.0 {
 		t.Errorf("Optane-class NVM (%.2fx) should be slower than DRAM-backed pmem", slowdown)

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"aquila"
-	"aquila/internal/metrics"
+	"aquila/internal/core"
 	"aquila/internal/obs"
 )
 
@@ -31,24 +31,23 @@ func init() {
 
 // faultEvents is every fault the runtime handled: major, minor and
 // write-protect.
-func faultEvents(sys *aquila.System) uint64 {
-	st := sys.RT.Stats
+func faultEvents(st core.Stats) uint64 {
 	return st.MajorFaults + st.MinorFaults + st.WPFaults
 }
 
 // hugeFaultRatio is the share of fault events served by a 2 MB unit — the
 // promotion-effectiveness number perfgate tracks across PRs.
-func hugeFaultRatio(sys *aquila.System) float64 {
-	return safeDiv(float64(sys.RT.Stats.HugeFaults), float64(faultEvents(sys)))
+func hugeFaultRatio(st core.Stats) float64 {
+	return safeDiv(float64(st.HugeFaults), float64(faultEvents(st)))
 }
 
 // bootHugeWorld boots an Aquila world with the huge path at the given
 // promotion density (0 disables it, reproducing the 4 KB-only baseline
 // bit-identically).
-func bootHugeWorld(dev aquila.DeviceKind, cache, dataset uint64, density float64, seed int64) *aquila.System {
+func bootHugeWorld(env *Env, dev aquila.DeviceKind, cache, dataset uint64, density float64, seed int64) *aquila.System {
 	params := aquilaParams(cache)
 	params.HugeFaultDensity = density
-	return boot(aquila.Options{
+	return env.boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: dev,
 		CacheBytes: cache, DeviceBytes: dataset + 96*mib,
 		CPUs: 8, Seed: seed, Params: params,
@@ -69,10 +68,10 @@ func denseTouch(sys *aquila.System, dataset uint64, threads int, hint bool) micr
 	})
 	pages := dataset / 4096
 	chunk := pages / uint64(threads)
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		buf := make([]byte, 8)
 		lo, hi := uint64(t)*chunk, uint64(t+1)*chunk
@@ -86,7 +85,7 @@ func denseTouch(sys *aquila.System, dataset uint64, threads int, hint bool) micr
 		}
 		ops += hi - lo
 	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
+	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), stats: rtStats(sys)}
 }
 
 // hugeMixed is the out-of-memory leg: a 2:1 read/write mix at random page
@@ -103,10 +102,10 @@ func hugeMixed(sys *aquila.System, dataset uint64, threads, opsPerThread int, hi
 			m.Advise(p, aquila.AdviceHuge)
 		}
 	})
-	lats := make([]*metrics.Histogram, threads)
+	lats := make([]*obs.Histogram, threads)
 	var ops uint64
 	elapsed := sys.Run(threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		pages := m.Size() / 4096
 		buf := make([]byte, 8)
@@ -124,19 +123,19 @@ func hugeMixed(sys *aquila.System, dataset uint64, threads, opsPerThread int, hi
 		}
 		ops += uint64(opsPerThread)
 	})
-	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), sys: sys}
+	return microResult{ops: ops, elapsed: elapsed, lat: mergeHists(lats), stats: rtStats(sys)}
 }
 
-func runAblateHugepages(scale float64) []*Result {
+func runAblateHugepages(env *Env) []*Result {
 	r := &Result{
 		ID:    "ablate-hugepages",
 		Title: "2 MB huge-page path: dense in-memory touch and out-of-memory mixed 2:1 (4 threads)",
 		Header: []string{"device", "workload", "config", "Kops/s", "avg(us)",
 			"faults", "vs 4K", "promo", "demo", "2M evict", "2M share"},
 	}
-	cache := scaled(32*mib, scale, 16*mib)
+	cache := scaled(32*mib, env.Scale, 16*mib)
 	threads := 4
-	mixedOps := scaledN(3000, scale, 600)
+	mixedOps := scaledN(3000, env.Scale, 600)
 
 	type cfg struct {
 		name    string
@@ -165,15 +164,16 @@ func runAblateHugepages(scale float64) []*Result {
 			}
 			var baseFaults uint64
 			for _, c := range cfgs {
-				sys := bootHugeWorld(dev, cache, dataset, c.density, 97)
+				sys := bootHugeWorld(env, dev, cache, dataset, c.density, 97)
 				var res microResult
 				if inMemory {
 					res = denseTouch(sys, dataset, threads, c.hint)
 				} else {
 					res = hugeMixed(sys, dataset, threads, mixedOps, c.hint, 97)
 				}
-				st := sys.RT.Stats
-				events := faultEvents(sys)
+				env.done(sys)
+				st := res.stats
+				events := faultEvents(st)
 				if c.density == 0 {
 					baseFaults = events
 				}
@@ -182,7 +182,7 @@ func runAblateHugepages(scale float64) []*Result {
 					fmt.Sprint(events), ratio(float64(baseFaults), float64(events)),
 					fmt.Sprint(st.HugePromotions), fmt.Sprint(st.HugeDemotions),
 					fmt.Sprint(st.HugeEvictions),
-					fmt.Sprintf("%.2f", hugeFaultRatio(sys)))
+					fmt.Sprintf("%.2f", hugeFaultRatio(st)))
 				if dev == aquila.DevicePMem && inMemory {
 					if c.density == 0 {
 						base4K = res
@@ -196,8 +196,8 @@ func runAblateHugepages(scale float64) []*Result {
 	r.AddNote("dense in-memory: promotion replaces 512 per-page faults with one merged 2 MB fill + one huge PTE")
 	r.AddNote("out-of-memory: reclaim churn splits buddy blocks; only whole-unit evictions restore contiguity, so the 2M share drops")
 	r.AddNote("pmem dense faults: 4K %d vs AdviseHuge %d (%s fewer); cycles %s lower",
-		faultEvents(base4K.sys), faultEvents(headline.sys),
-		ratio(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
+		faultEvents(base4K.stats), faultEvents(headline.stats),
+		ratio(float64(faultEvents(base4K.stats)), float64(faultEvents(headline.stats))),
 		ratio(float64(base4K.elapsed), float64(headline.elapsed)))
 
 	lat := headline.lat.Summarize()
@@ -205,7 +205,7 @@ func runAblateHugepages(scale float64) []*Result {
 		Schema:     obs.ReportSchemaVersion,
 		Experiment: "ablate-hugepages",
 		Title:      r.Title,
-		Scale:      scale,
+		Scale:      env.Scale,
 		Config: map[string]string{
 			"mode":    "aquila",
 			"device":  "pmem",
@@ -221,14 +221,14 @@ func runAblateHugepages(scale float64) []*Result {
 		ThroughputOpsPerSec: aquila.ThroughputOpsPerSec(headline.ops, headline.elapsed),
 		Latency:             &lat,
 		Extra: map[string]float64{
-			"fault_events_4k":      float64(faultEvents(base4K.sys)),
-			"fault_events_huge":    float64(faultEvents(headline.sys)),
-			"fault_reduction":      safeDiv(float64(faultEvents(base4K.sys)), float64(faultEvents(headline.sys))),
+			"fault_events_4k":      float64(faultEvents(base4K.stats)),
+			"fault_events_huge":    float64(faultEvents(headline.stats)),
+			"fault_reduction":      safeDiv(float64(faultEvents(base4K.stats)), float64(faultEvents(headline.stats))),
 			"elapsed_cycles_4k":    float64(base4K.elapsed),
 			"elapsed_cycles_huge":  float64(headline.elapsed),
 			"cycle_reduction":      safeDiv(float64(base4K.elapsed), float64(headline.elapsed)),
-			"huge_fault_ratio":     hugeFaultRatio(headline.sys),
-			"huge_promotions":      float64(headline.sys.RT.Stats.HugePromotions),
+			"huge_fault_ratio":     hugeFaultRatio(headline.stats),
+			"huge_promotions":      float64(headline.stats.HugePromotions),
 			"tlb_2m_capacity_hint": float64(32),
 		},
 	}

@@ -6,7 +6,7 @@ import (
 
 	"aquila"
 	"aquila/internal/core"
-	"aquila/internal/metrics"
+	"aquila/internal/obs"
 )
 
 // microConfig parameterizes the paper's multithreaded microbenchmark (§5):
@@ -36,8 +36,12 @@ type microConfig struct {
 type microResult struct {
 	ops     uint64
 	elapsed uint64
-	lat     *metrics.Histogram
-	sys     *aquila.System
+	lat     *obs.Histogram
+	// stats snapshots the Aquila runtime counters at the end of the run
+	// (zero in the Linux worlds).
+	stats core.Stats
+	// brk is the world's cumulative fault-cycle breakdown (setup included).
+	brk *obs.Breakdown
 	// breakDelta is the world's fault-cycle breakdown accumulated during
 	// the measured phase only (setup excluded).
 	breakDelta map[string]uint64
@@ -45,6 +49,14 @@ type microResult struct {
 
 func (r microResult) throughputKops() float64 {
 	return aquila.ThroughputOpsPerSec(r.ops, r.elapsed) / 1e3
+}
+
+// rtStats returns the Aquila runtime's counters (zero in the Linux worlds).
+func rtStats(sys *aquila.System) core.Stats {
+	if sys.RT == nil {
+		return core.Stats{}
+	}
+	return sys.RT.Stats
 }
 
 // aquilaParams scales Aquila's batch sizes to small simulated caches so the
@@ -76,7 +88,7 @@ func maxI(a, b int) int {
 }
 
 // newWorld boots a System for an experiment configuration.
-func newWorld(cfg microConfig) *aquila.System {
+func newWorld(env *Env, cfg microConfig) *aquila.System {
 	cpus := cfg.cpus
 	if cpus == 0 {
 		cpus = 32
@@ -96,12 +108,14 @@ func newWorld(cfg microConfig) *aquila.System {
 			opts.Params.HugeFaultDensity = hugeDensityDefault
 		}
 	}
-	return boot(opts)
+	return env.boot(opts)
 }
 
-// runMicro executes the microbenchmark in the given world.
-func runMicro(cfg microConfig) microResult {
-	sys := newWorld(cfg)
+// runMicro boots the configured world, executes the microbenchmark in it and
+// hands the world back.
+func runMicro(env *Env, cfg microConfig) microResult {
+	sys := newWorld(env, cfg)
+	defer env.done(sys)
 	pageSize := uint64(4096)
 	totalPages := cfg.dataset / pageSize
 
@@ -138,10 +152,10 @@ func runMicro(cfg microConfig) microResult {
 	}
 	break0 := worldBreak.Map()
 
-	lats := make([]*metrics.Histogram, cfg.threads)
+	lats := make([]*obs.Histogram, cfg.threads)
 	var totalOps uint64
 	elapsed := sys.Run(cfg.threads, func(t int, p *aquila.Proc) {
-		lat := metrics.NewHistogram()
+		lat := obs.NewHistogram()
 		lats[t] = lat
 		rng := rand.New(rand.NewSource(cfg.seed + int64(t)*7919))
 		buf := make([]byte, 8)
@@ -188,7 +202,8 @@ func runMicro(cfg microConfig) microResult {
 		totalOps += uint64(ops)
 	})
 	return microResult{
-		ops: totalOps, elapsed: elapsed, lat: mergeHists(lats), sys: sys,
+		ops: totalOps, elapsed: elapsed, lat: mergeHists(lats),
+		stats: rtStats(sys), brk: worldBreak,
 		breakDelta: subMap(worldBreak.Map(), break0),
 	}
 }

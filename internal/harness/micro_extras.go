@@ -13,7 +13,7 @@ func init() {
 		ID:    "table1",
 		Title: "Standard YCSB workloads",
 		Paper: "Table 1",
-		Run: func(scale float64) []*Result {
+		Run: func(*Env) []*Result {
 			r := &Result{ID: "table1", Title: "Standard YCSB Workloads",
 				Header: []string{"workload", "mix"}}
 			for _, w := range ycsb.All {
@@ -36,7 +36,7 @@ func init() {
 	})
 }
 
-func runMemcpy(scale float64) []*Result {
+func runMemcpy(*Env) []*Result {
 	c := cpu.Default()
 	r := &Result{
 		ID:     "memcpy",
@@ -56,7 +56,7 @@ func runMemcpy(scale float64) []*Result {
 
 // runIPI measures the send-side cost per invalidated page for different
 // shootdown batch sizes, with and without the vmexit-based rate limiting.
-func runIPI(scale float64) []*Result {
+func runIPI(env *Env) []*Result {
 	c := cpu.Default()
 	r := &Result{
 		ID:     "ipi",
@@ -74,7 +74,7 @@ func runIPI(scale float64) []*Result {
 
 	// End-to-end check with the real machinery: shootdown batches during
 	// Aquila eviction deliver IRQs to every other CPU.
-	sys := boot(aquila.Options{
+	sys := env.boot(aquila.Options{
 		Mode: aquila.ModeAquila, Device: aquila.DevicePMem,
 		CacheBytes: 8 * mib, DeviceBytes: 160 * mib, CPUs: 8, Seed: 47,
 		Params: aquilaParams(8 * mib),
@@ -91,6 +91,7 @@ func runIPI(scale float64) []*Result {
 	})
 	batches := sys.RT.Stats.ShootdownBatches
 	evictions := sys.RT.Stats.Evictions
+	env.done(sys)
 	r.AddNote("end-to-end: %d evictions produced %d shootdown batches (%.0f pages/batch)",
 		evictions, batches, float64(evictions)/float64(maxU64(batches, 1)))
 	return []*Result{r}

@@ -7,90 +7,65 @@ import (
 	"aquila/internal/obs"
 )
 
-// Harness-wide observability: cmd/aquila-bench calls Instrument once with a
-// shared tracer and registry, and every System any experiment boots from then
-// on reports into them. Each System gets a unique trace label
-// ("<mode>.<seq>"), so several experiments can share one trace file and one
-// metrics snapshot without their series colliding.
+// Env is the one explicit context an experiment runs in: the scale, the
+// optional observability sinks, and the bookkeeping of the Systems the
+// experiment boots. The harness keeps numbers, not Systems: every boot site
+// hands its System back through done once it has read what it needs, and
+// done folds the System's final clock into SimCycles, publishes its counters
+// into Registry, and closes it.
+//
+// One Env may serve several experiments in turn (cmd/aquila-bench shares one
+// across a run, so trace labels stay unique within one trace file and one
+// metrics snapshot). It is not safe for concurrent experiments.
+type Env struct {
+	// Scale multiplies dataset sizes and op counts: 1.0 is the full
+	// scaled-down run EXPERIMENTS.md documents; tests use smaller.
+	Scale float64
+	// Tracer, Registry and Profiler, when non-nil, receive every booted
+	// System's spans, metrics and lossless span stream. Each instrumented
+	// System gets a unique trace label ("<mode>.<n>"), so several
+	// experiments can share one trace file and one metrics snapshot without
+	// their series colliding.
+	Tracer   *obs.Tracer
+	Registry *obs.Registry
+	Profiler obs.SpanSink
 
-var (
-	obsTracer  *obs.Tracer
-	obsReg     *obs.Registry
-	obsProf    obs.SpanSink
-	obsSeq     int
-	obsSystems []*aquila.System
-
-	// cycleSystems tracks every System booted since the last TakeSimCycles
-	// call, instrumented or not, so the bench driver can report simulated
-	// cycles per experiment instead of host wall-clock.
-	cycleSystems []*aquila.System
-)
-
-// Instrument routes all subsequently booted Systems into tr and reg (either
-// may be nil). Pass nil, nil to turn instrumentation back off.
-func Instrument(tr *obs.Tracer, reg *obs.Registry) {
-	obsTracer, obsReg, obsSeq = tr, reg, 0
-	obsSystems = nil
+	seq    int    // trace labels handed out
+	cycles uint64 // final simulated clocks of every System handed back
+	live   int    // Systems booted and not yet handed back
 }
 
-// InstrumentProfiler routes the lossless span stream of all subsequently
-// booted Systems into sink (typically a *profile.Profiler). Independent of
-// Instrument: profiling works without a tracer and vice versa. Trace labels
-// stay deterministic because obsSeq is shared with Instrument; call
-// Instrument first when combining the two.
-func InstrumentProfiler(sink obs.SpanSink) {
-	obsProf = sink
-}
+// SimCycles returns the simulated cycles of every System handed back so far,
+// their final clocks summed: the deterministic cost figure the bench driver
+// prints per experiment (as the difference across the experiment's Run).
+func (env *Env) SimCycles() uint64 { return env.cycles }
 
-// Registry returns the registry experiments currently report into (nil when
-// uninstrumented).
-func Registry() *obs.Registry { return obsReg }
-
-// boot creates a System, injecting the harness tracer/registry. With no
-// instrumentation configured it is exactly aquila.New plus cycle tracking.
-func boot(opts aquila.Options) *aquila.System {
-	instrumented := obsTracer != nil || obsReg != nil || obsProf != nil
-	if instrumented {
-		opts.Tracer = obsTracer
-		opts.Registry = obsReg
-		opts.Profiler = obsProf
+// boot creates a System, injecting the Env's tracer, registry and profiler.
+// With no instrumentation configured it is exactly aquila.New. The caller
+// owns the System until it hands it back with done.
+func (env *Env) boot(opts aquila.Options) *aquila.System {
+	if env.Tracer != nil || env.Registry != nil || env.Profiler != nil {
+		opts.Tracer = env.Tracer
+		opts.Registry = env.Registry
+		opts.Profiler = env.Profiler
 		if opts.TraceLabel == "" {
-			obsSeq++
-			opts.TraceLabel = fmt.Sprintf("%s.%d", modeLabel(opts.Mode), obsSeq)
+			env.seq++
+			opts.TraceLabel = fmt.Sprintf("%s.%d", modeLabel(opts.Mode), env.seq)
 		}
 	}
-	sys := aquila.New(opts)
-	if instrumented {
-		obsSystems = append(obsSystems, sys)
-	}
-	cycleSystems = append(cycleSystems, sys)
-	return sys
+	env.live++
+	return aquila.New(opts)
 }
 
-// TakeSimCycles returns the simulated cycles accrued by every System booted
-// since the previous call (their final clocks summed), then drops the
-// tracked references. The bench driver calls it once per experiment.
-func TakeSimCycles() uint64 {
-	var total uint64
-	for _, s := range cycleSystems {
-		total += s.Sim.Now()
-	}
-	cycleSystems = nil
-	return total
-}
-
-// PublishAll pushes the final per-System counters (fault stats, page-cache
-// and device totals, final simulated clock) of every instrumented System into
-// the registry. Call once after the experiments finish, before snapshotting.
-func PublishAll() {
-	for _, s := range obsSystems {
-		s.PublishStats()
-	}
-	// Surface ring-buffer losses: a nonzero value warns that the Chrome
-	// trace is a window, not the whole run (the profiler sink is lossless).
-	if obsTracer != nil && obsReg != nil {
-		obsReg.Counter("aq.obs.spans_dropped").Set(obsTracer.Dropped())
-	}
+// done takes back a System booted by boot once the experiment has read its
+// results: it adds the final clock to SimCycles, pushes the System's counters
+// (fault stats, page-cache and device totals, final clock) into the registry
+// when one is set, and closes it, reaping any parked daemon procs.
+func (env *Env) done(sys *aquila.System) {
+	env.cycles += sys.Sim.Now()
+	sys.PublishStats()
+	sys.Close()
+	env.live--
 }
 
 func modeLabel(m aquila.Mode) string {

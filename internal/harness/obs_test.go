@@ -14,14 +14,14 @@ import (
 func TestFig8aReportCoverage(t *testing.T) {
 	tr := obs.NewTracer()
 	reg := obs.NewRegistry()
-	Instrument(tr, reg)
-	defer Instrument(nil, nil)
+	env := testEnv(t)
+	env.Tracer, env.Registry = tr, reg
 
 	e, ok := Find("fig8a")
 	if !ok {
 		t.Fatal("fig8a not registered")
 	}
-	rs := e.Run(testScale)
+	rs := e.Run(env)
 	if len(rs) == 0 || rs[0].Report == nil {
 		t.Fatal("fig8a produced no report")
 	}
@@ -49,32 +49,6 @@ func TestFig8aReportCoverage(t *testing.T) {
 	}
 	if len(reg.Keys()) == 0 {
 		t.Error("instrumented run registered no metrics")
-	}
-}
-
-// TestSpansDroppedCounter pins the loss-accounting satellite: PublishAll
-// surfaces the tracer's ring evictions as the aq.obs.spans_dropped counter,
-// so metrics snapshots state whether the trace is a window or the whole run.
-func TestSpansDroppedCounter(t *testing.T) {
-	tr := obs.NewTracer()
-	tr.SetRingCapacity(8) // tiny rings: the fig8a fault storm must overflow
-	reg := obs.NewRegistry()
-	Instrument(tr, reg)
-	defer Instrument(nil, nil)
-
-	e, ok := Find("fig8a")
-	if !ok {
-		t.Fatal("fig8a not registered")
-	}
-	e.Run(testScale)
-	PublishAll()
-
-	if tr.Dropped() == 0 {
-		t.Fatal("8-slot rings did not overflow under fig8a; test premise broken")
-	}
-	snap := reg.Snapshot()
-	if got := snap.Counters["aq.obs.spans_dropped"]; got != tr.Dropped() {
-		t.Errorf("aq.obs.spans_dropped = %d, want %d", got, tr.Dropped())
 	}
 }
 

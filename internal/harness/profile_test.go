@@ -18,20 +18,18 @@ var updateProfileGolden = flag.Bool("update", false, "rewrite the golden profile
 func profileFig8a(t *testing.T, scale float64) (*profile.Profiler, []byte, []byte) {
 	t.Helper()
 	prof := profile.New()
-	// Reset the label sequence so every invocation names its systems
-	// identically ("linux.1", "aquila.2", ...): track names are part of the
-	// profile's byte identity.
-	Instrument(nil, nil)
-	InstrumentProfiler(prof)
-	defer InstrumentProfiler(nil)
-	TakeSimCycles() // drain systems booted by earlier tests
+	// A fresh Env names its systems identically on every invocation
+	// ("linux.1", "aquila.2", ...): track names are part of the profile's
+	// byte identity.
+	env := testEnv(t)
+	env.Scale, env.Profiler = scale, prof
 
 	e, ok := Find("fig8a")
 	if !ok {
 		t.Fatal("fig8a experiment not registered")
 	}
-	e.Run(scale)
-	prof.SetTotalCycles(TakeSimCycles())
+	e.Run(env)
+	prof.SetTotalCycles(env.SimCycles())
 
 	var js, folded bytes.Buffer
 	if err := prof.WriteJSON(&js); err != nil {
@@ -61,15 +59,15 @@ func TestProfileDeterminism(t *testing.T) {
 }
 
 // TestProfileReconciles pins the accounting invariant: every track's root
-// inclusive cycles fit within the simulated-cycle total TakeSimCycles
-// measured, and children nest within parents throughout the tree.
+// inclusive cycles fit within the simulated-cycle total the Env measured, and
+// children nest within parents throughout the tree.
 func TestProfileReconciles(t *testing.T) {
 	prof, _, _ := profileFig8a(t, 0.25)
 	if prof.TotalCycles() == 0 {
-		t.Fatal("TakeSimCycles returned 0 for a real run")
+		t.Fatal("Env.SimCycles returned 0 for a real run")
 	}
 	if err := prof.Reconcile(); err != nil {
-		t.Fatalf("profile does not reconcile with TakeSimCycles: %v", err)
+		t.Fatalf("profile does not reconcile with Env.SimCycles: %v", err)
 	}
 	doc := prof.Export()
 	if doc.Coverage <= 0 || doc.Coverage > 1 {

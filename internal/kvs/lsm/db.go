@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"aquila/internal/iface"
-	"aquila/internal/metrics"
 	"aquila/internal/obs"
 	"aquila/internal/sim/engine"
 	"aquila/internal/ycsb"
@@ -125,7 +124,7 @@ type DB struct {
 	// "get" (store processing), "put", "cache" (user-space block cache
 	// management), "io" (read path to storage, including syscalls),
 	// "mmio" (mapped reads: faults + loads).
-	Break *metrics.Breakdown
+	Break *obs.Breakdown
 
 	// Stats.
 	Gets, Puts, Flushes, Compactions uint64
@@ -173,7 +172,7 @@ func Open(p *engine.Proc, e *engine.Engine, opts Options) *DB {
 		}
 		db.Break = opts.Registry.Breakdown("lsm_cycles", labels...)
 	} else {
-		db.Break = metrics.NewBreakdown()
+		db.Break = obs.NewBreakdown()
 	}
 	if opts.Mode == IODirectCached {
 		cap := opts.BlockCacheBytes

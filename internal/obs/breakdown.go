@@ -6,8 +6,7 @@ import (
 )
 
 // Breakdown attributes cycles to named categories, preserving first-use
-// order for stable reporting. It is the registry-backed successor of the old
-// internal/metrics Breakdown and powers the per-component bars of the
+// order for stable reporting. It powers the per-component bars of the
 // paper's Figures 7 and 8.
 type Breakdown struct {
 	order  []string

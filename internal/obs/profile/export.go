@@ -38,7 +38,7 @@ type JSONTrack struct {
 // JSONProfile is the top-level PROF_<exp>.json document.
 type JSONProfile struct {
 	Schema int `json:"schema"`
-	// TotalCycles is the run's simulated-cycle total (harness.TakeSimCycles);
+	// TotalCycles is the run's simulated-cycle total (harness.Env.SimCycles);
 	// Coverage is the instrumented share: max over tracks of covered/total.
 	TotalCycles uint64      `json:"total_cycles"`
 	Coverage    float64     `json:"coverage"`

@@ -102,7 +102,7 @@ type track struct {
 // New.
 type Profiler struct {
 	tracks map[string]*track
-	// totalCycles is the run's simulated-cycle total (harness.TakeSimCycles
+	// totalCycles is the run's simulated-cycle total (harness.Env.SimCycles
 	// or Engine.Now), set by the driver after the run; the root coverage in
 	// exports and the Reconcile check compare against it.
 	totalCycles uint64
@@ -121,7 +121,7 @@ func (pr *Profiler) Reset() {
 }
 
 // SetTotalCycles records the run's total simulated cycles, as measured by
-// the driver (harness.TakeSimCycles for bench runs). Exports report it and
+// the driver (harness.Env.SimCycles for bench runs). Exports report it and
 // Reconcile validates the tree against it.
 func (pr *Profiler) SetTotalCycles(c uint64) { pr.totalCycles = c }
 

@@ -39,6 +39,9 @@ type crashState struct {
 	spanHit  uint64
 	spanSeen uint64
 	info     *CrashInfo
+	// closed is set by Close: every process still alive unwinds at its next
+	// resume point, like after a crash, but no crash is recorded.
+	closed bool
 }
 
 // ArmCrash installs engine-side crash triggers. Call before Run.
@@ -65,8 +68,9 @@ func (e *Engine) CrashNow(reason string) {
 }
 
 // noteCrash records the first crash sentinel that unwinds a process body.
+// An unwind driven by Close is not a crash and records nothing.
 func (e *Engine) noteCrash(p *Proc, cp *crashPanic) {
-	if e.crash.info == nil {
+	if e.crash.info == nil && !e.crash.closed {
 		cycle := p.now
 		if c := e.crash.atCycle; c != 0 && cycle > c {
 			cycle = c
@@ -82,8 +86,11 @@ func (e *Engine) noteCrash(p *Proc, cp *crashPanic) {
 // Engine.Now() == the crash cycle.
 func (p *Proc) checkCrash() {
 	cs := &p.e.crash
-	if cs.info == nil && cs.atCycle == 0 {
+	if cs.info == nil && cs.atCycle == 0 && !cs.closed {
 		return
+	}
+	if cs.closed {
+		panic(&crashPanic{reason: "close"})
 	}
 	if cs.info != nil {
 		if p.now > cs.info.Cycle {
@@ -128,4 +135,19 @@ func (e *Engine) drainCrash() {
 	}
 	e.runq = procHeap{}
 	e.blocked, e.blockedDaemons = 0, 0
+}
+
+// Close ends the engine's life. Run returns with daemon processes (SpawnDaemon)
+// still parked on their wakeup primitive, each holding a goroutine and, through
+// its closure, everything it serves. Close unwinds them through the crash
+// sentinel, exactly as drainCrash unwinds a crashed machine (no user-space
+// cleanup runs), but records no crash: Crashed() is unchanged and clocks keep
+// their values. Call it from outside Run once the engine is no longer needed;
+// Run on a closed engine panics. Close is idempotent.
+func (e *Engine) Close() {
+	if e.current != nil {
+		panic("engine: Close called from inside a running process")
+	}
+	e.crash.closed = true
+	e.drainCrash()
 }

@@ -1,6 +1,11 @@
 package engine
 
-import "testing"
+import (
+	"fmt"
+	"runtime"
+	"testing"
+	"time"
+)
 
 func TestDaemonDoesNotHoldRunOpen(t *testing.T) {
 	e := New(Config{NumCPUs: 2})
@@ -99,4 +104,53 @@ func TestSignalWakesParkedWaiter(t *testing.T) {
 	if wokeAt != 4321 {
 		t.Fatalf("sleeper woke at %d, want 4321", wokeAt)
 	}
+}
+
+// settledGoroutines polls runtime.NumGoroutine until it drops to at most
+// want: a goroutine that has handed the baton back still needs a moment to
+// return from its body.
+func settledGoroutines(want int) int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 1000 && n > want; i++ {
+		time.Sleep(time.Millisecond)
+		n = runtime.NumGoroutine()
+	}
+	return n
+}
+
+func TestCloseReapsParkedDaemons(t *testing.T) {
+	base := settledGoroutines(0)
+	e := New(Config{NumCPUs: 4})
+	for i := 0; i < 3; i++ {
+		sig := NewSignal(e, fmt.Sprintf("work-%d", i))
+		e.SpawnDaemon(1+i, "daemon", func(p *Proc) {
+			for {
+				sig.Wait(p)
+				p.AdvanceSystem(100)
+			}
+		})
+	}
+	e.Spawn(0, "w", func(p *Proc) { p.AdvanceUser(50) })
+	e.Run()
+	if n := runtime.NumGoroutine(); n < base+3 {
+		t.Fatalf("goroutines after Run = %d, want the 3 parked daemons above baseline %d", n, base)
+	}
+	now := e.Now()
+	e.Close()
+	if n := settledGoroutines(base); n > base {
+		t.Fatalf("goroutines after Close = %d, want baseline %d", n, base)
+	}
+	if e.Crashed() != nil {
+		t.Errorf("Close recorded a crash: %+v", e.Crashed())
+	}
+	if e.Now() != now {
+		t.Errorf("Close moved the clock from %d to %d", now, e.Now())
+	}
+	e.Close() // idempotent
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Run on a closed engine did not panic")
+		}
+	}()
+	e.Run()
 }

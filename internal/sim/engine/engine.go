@@ -277,6 +277,9 @@ func (e *Engine) SpawnDaemon(cpu int, name string, fn func(*Proc)) *Proc {
 // not count as deadlocked: they stay suspended across Run calls and resume
 // when some later process signals them.
 func (e *Engine) Run() {
+	if e.crash.closed {
+		panic("engine: Run on a closed engine")
+	}
 	if e.crash.info != nil {
 		return // the machine is dead; nothing ever runs again
 	}
